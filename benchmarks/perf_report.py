@@ -188,6 +188,9 @@ def bench_page_access_path(repeats: int) -> float:
 
     A fresh cold cluster per repeat so every measurement sees the same
     hit/miss mix as the pytest microbenchmark's single round.
+    ``Cluster.access_page`` runs on the fetch chain (it is a one-page
+    ``access_run``), so this times the chain path; rows recorded before
+    the generator access path was removed timed that generator.
     """
 
     def setup():
@@ -212,6 +215,9 @@ def bench_page_access_path_faults_idle(repeats: int) -> float:
     An attached layer with an empty schedule adds only attribute
     checks to the hot paths (no RNG draws, no extra processes); this
     number pins that cost next to the plain ``page_access_path``.
+    ``Cluster.access_page`` runs on the fetch chain (it is a one-page
+    ``access_run``), so this times the chain path; rows recorded before
+    the generator access path was removed timed that generator.
     """
     from repro.faults import FaultInjector, FaultSchedule
 
@@ -735,6 +741,9 @@ def bench_page_access_telemetry(attached: bool, repeats: int) -> float:
     ``attached=True`` wires a full metrics/trace pipeline to the
     cluster, so every access records a counter and a latency
     histogram sample.
+    ``Cluster.access_page`` runs on the fetch chain (it is a one-page
+    ``access_run``), so this times the chain path; rows recorded before
+    the generator access path was removed timed that generator.
     """
 
     def setup():

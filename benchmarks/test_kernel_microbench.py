@@ -50,7 +50,11 @@ def test_resource_throughput(benchmark):
 
 
 def test_page_access_path(benchmark):
-    """End-to-end cost of the data-shipping access path (mixed hits)."""
+    """End-to-end cost of the data-shipping access path (mixed hits).
+
+    ``Cluster.access_page`` is a one-page ``access_run``, so this times
+    the fetch chain.
+    """
     config = SystemConfig(num_pages=500)
     cluster = Cluster(config, seed=0)
 

@@ -3,10 +3,12 @@
 :class:`Cluster` wires together the simulation environment, the nodes
 (CPU + disk + buffer manager), the shared network, the database home
 mapping, the page-location directory, and the measured access costs.
-Its :meth:`Cluster.access_page` generator implements data-shipping
-(§3): the requested page is copied to the node where the operation was
+Its access path (:meth:`Cluster.access_run`, and the single-page
+:meth:`Cluster.access_page` built on it) implements data-shipping (§3):
+the requested page is copied to the node where the operation was
 initiated, served from — in order of preference — the local cache, a
-remote cache, or the home node's disk.
+remote cache, or the home node's disk.  Every access runs through one
+self-advancing state machine, :class:`_FetchChain`.
 """
 
 from __future__ import annotations
@@ -43,27 +45,30 @@ class _FetchHop(Event):
 class _FetchChain(Event):
     """One whole page access (§3, §6) as a self-advancing hold chain.
 
-    :meth:`Cluster.access_run` yields one of these per page.  The chain
-    walks the access's hold sequence — the buffer-lookup CPU charge,
-    then on a miss the fetch hops (request wire, remote CPU, ship wire,
-    page handling; or the disk variants) — by re-pushing its single
+    :meth:`Cluster.access_run` yields one of these per page; it is the
+    only implementation of the access path.  The chain walks the
+    access's hold sequence — the buffer-lookup CPU charge, then on a
+    miss the fetch hops (request wire, remote CPU, ship wire, page
+    handling; or the disk variants) — by re-pushing its single
     :class:`_FetchHop` event for each hold and performing the
     release / bookkeeping / acquire transitions inside :meth:`_resume`.
     Buffer probe/admit, directory registration, cost observation, and
     telemetry all run inside the state machine, so the owning generator
     is resumed exactly once per page, when the chain finishes (it is
     itself an :class:`Event`, fused via ``_fast_proc`` like any other
-    yield target).
+    yield target) with the :class:`AccessLevel` the page was served
+    from as its value.
 
-    Event-for-event parity with the reference ``access_page`` path is
-    the invariant (the batch parity suite pins it): every hold pushes
-    one heap entry with the same time and sequence number the
-    ``occupy``/``acquire_fast`` code would, uncontended grants consume
-    no event, and contended holds fall back to a real
-    :class:`~repro.sim.resources.Request` so FIFO order and wait
-    accounting are untouched.  All chained resources have capacity 1
-    (node CPUs, disk arms, the network medium), which makes the inline
-    fast-grant condition identical to ``occupy``'s.
+    Event-for-event parity with a plain generator composed of the
+    public ``consume`` / ``send_message`` / ``disk.read`` steps is the
+    invariant (the batch parity suite keeps that generator as its
+    oracle): every hold pushes one heap entry with the same time and
+    sequence number the ``occupy``/``acquire_fast`` code would,
+    uncontended grants consume no event, and contended holds fall back
+    to a real :class:`~repro.sim.resources.Request` so FIFO order and
+    wait accounting are untouched.  All chained resources have
+    capacity 1 (node CPUs, disk arms, the network medium), which makes
+    the inline fast-grant condition identical to ``occupy``'s.
 
     A chain is bound to one node and recycled through the node's pool
     in the run-context cache (:meth:`Cluster._build_run_ctx`), so its
@@ -126,20 +131,30 @@ class _FetchChain(Event):
         self._bytes_by_kind = accounting.bytes_by_kind
         self._messages_by_kind = accounting.messages_by_kind
         self._home_fn = cluster.database.home
-        self._req_wire = cluster._req_wire_ms
-        self._ship_wire = cluster._ship_wire_ms
-        self._req_bytes = cluster._req_bytes
-        self._ship_bytes = cluster._ship_bytes
-        # Per-hop CPU services; every node runs the same CPU (the
-        # cluster is built from one SystemConfig), so the divisions by
-        # _mips_ms fold into constants.
+        # Wire sizes and times of the two data-path messages, the disk
+        # read time and the per-hop CPU services are config constants,
+        # folded once per chain instead of going through
+        # message_size()/transfer_ms() and the MIPS division per hold.
+        # Every node runs the same CPU (the cluster is built from one
+        # SystemConfig).
+        config = cluster.config
+        net = config.network
+        cpu = config.cpu
+        self._req_bytes = message_size(MessageKind.PAGE_REQUEST)
+        self._ship_bytes = message_size(
+            MessageKind.PAGE_SHIP, config.page_size
+        )
+        self._req_wire = net.transfer_ms(self._req_bytes)
+        self._ship_wire = net.transfer_ms(self._ship_bytes)
         mips_ms = node.cpu._mips_ms
-        remote_instr = cluster._instr_message + cluster._instr_lookup
-        self._lookup_ms = cluster._instr_lookup / mips_ms
-        self._handling_ms = cluster._instr_page_handling / mips_ms
+        remote_instr = (
+            cpu.instructions_message + cpu.instructions_buffer_lookup
+        )
+        self._lookup_ms = cpu.instructions_buffer_lookup / mips_ms
+        self._handling_ms = cpu.instructions_page_handling / mips_ms
         self._remote_service = remote_instr / mips_ms
-        self._home_msg_service = cluster._instr_message / mips_ms
-        self._disk_read_ms = cluster._disk_read_ms
+        self._home_msg_service = cpu.instructions_message / mips_ms
+        self._disk_read_ms = config.disk.access_ms(config.page_size)
         self._page_request = MessageKind.PAGE_REQUEST
         self._page_ship = MessageKind.PAGE_SHIP
         self._local_level = AccessLevel.LOCAL
@@ -176,15 +191,9 @@ class _FetchChain(Event):
             hop._fast_proc = self
             seq = env._seq
             env._seq = seq + 1
-            entry = (env._now + self._lookup_ms, NORMAL, seq, hop)
-            calendar = env._calendar
-            if calendar is None:
-                queue = env._queue
-                heapq.heappush(queue, entry)
-                if env._auto_at and len(queue) >= env._auto_at:
-                    env._activate_calendar()
-            else:
-                calendar.push(entry)
+            heapq.heappush(
+                env._queue, (env._now + self._lookup_ms, NORMAL, seq, hop)
+            )
         else:
             self._res = res
             self._service = self._lookup_ms
@@ -248,7 +257,7 @@ class _FetchChain(Event):
                         self._node_id, class_id,
                         self._local_level, elapsed,
                     )
-                self._finish()
+                self._finish(self._local_level)
                 return
             # Miss: try a remote cached copy, else the home disk.
             remote_id = self._remote_holder(page, self._node_id)
@@ -304,7 +313,7 @@ class _FetchChain(Event):
             on_access = self._on_access
             if on_access is not None:
                 on_access(self._node_id, class_id, level, elapsed)
-            self._finish()
+            self._finish(level)
             return
         elif state == 8:  # disk read done
             home_disk = self._home.disk
@@ -356,15 +365,7 @@ class _FetchChain(Event):
             hop._fast_proc = self
             seq = env._seq
             env._seq = seq + 1
-            entry = (env._now + service, NORMAL, seq, hop)
-            calendar = env._calendar
-            if calendar is None:
-                queue = env._queue
-                heapq.heappush(queue, entry)
-                if env._auto_at and len(queue) >= env._auto_at:
-                    env._activate_calendar()
-            else:
-                calendar.push(entry)
+            heapq.heappush(env._queue, (env._now + service, NORMAL, seq, hop))
         else:
             self._res = res
             self._service = service
@@ -416,23 +417,16 @@ class _FetchChain(Event):
         hop._fast_proc = self
         seq = env._seq
         env._seq = seq + 1
-        calendar = env._calendar
-        if calendar is None:
-            queue = env._queue
-            heapq.heappush(queue, (env._now + delay, NORMAL, seq, hop))
-            if env._auto_at and len(queue) >= env._auto_at:
-                env._activate_calendar()
-        else:
-            calendar.push((env._now + delay, NORMAL, seq, hop))
+        heapq.heappush(env._queue, (env._now + delay, NORMAL, seq, hop))
 
-    def _finish(self) -> None:
-        # Resume the owner, exactly as the dispatch loop would for a
-        # fired event (the chain never goes through _schedule, so no
-        # extra event or sequence number).
+    def _finish(self, level: AccessLevel) -> None:
+        # Resume the owner with the serving level, exactly as the
+        # dispatch loop would for a fired event (the chain never goes
+        # through _schedule, so no extra event or sequence number).
         callbacks = self.callbacks
         self.callbacks = None
         self._ok = True
-        self._value = None
+        self._value = level
         proc = self._fast_proc
         if proc is not None:
             self._fast_proc = None
@@ -451,10 +445,9 @@ class Cluster:
         config: Optional[SystemConfig] = None,
         seed: int = 0,
         policy: str = "cost",
-        scheduler: str = "auto",
     ):
         self.config = config if config is not None else SystemConfig()
-        self.env = Environment(scheduler=scheduler)
+        self.env = Environment()
         self.rng = RandomStreams(seed)
         self.network = Network(self.env, self.config.network)
         self.database = Database(
@@ -491,26 +484,6 @@ class Cluster:
         #: and directory entries they repaired.
         self.reconciles = 0
         self.reconcile_repairs = 0
-        # Per-access CPU charges, pre-bound once: the access path reads
-        # them on every page access, so the config attribute chain is
-        # hoisted out of the hot loop.
-        cpu = self.config.cpu
-        self._instr_lookup = cpu.instructions_buffer_lookup
-        self._instr_message = cpu.instructions_message
-        self._instr_page_handling = cpu.instructions_page_handling
-        # Wire sizes and times of the two data-path messages are config
-        # constants; :meth:`access_run` charges them without going
-        # through message_size()/transfer_ms() per miss.
-        self._req_bytes = message_size(MessageKind.PAGE_REQUEST)
-        self._ship_bytes = message_size(
-            MessageKind.PAGE_SHIP, self.config.page_size
-        )
-        net = self.config.network
-        self._req_wire_ms = net.transfer_ms(self._req_bytes)
-        self._ship_wire_ms = net.transfer_ms(self._ship_bytes)
-        self._disk_read_ms = self.config.disk.access_ms(
-            self.config.page_size
-        )
         self.nodes: List[Node] = [
             Node(i, self.env, self.config)
             for i in range(self.config.num_nodes)
@@ -564,126 +537,24 @@ class Cluster:
         Returns (via StopIteration value, i.e. ``yield from``) the
         :class:`AccessLevel` the page was served from.
         """
-        node = self.nodes[node_id]
-        env = self.env
-        start = env._now
-
-        faults = self.faults
-        if faults is not None:
-            # A crashed node serves nothing until its restart delay has
-            # elapsed; operations initiated there stall (and their
-            # response times spike — the signal the loop reacts to).
-            delay = faults.down_delay(node_id, start)
-            if delay > 0.0:
-                yield env.timeout(delay)
-        # The buffer-lookup CPU charge, paid on *every* access, is the
-        # hottest resource hold in the simulation.  This is
-        # Resource.occupy's uncontended fast path inlined (same
-        # accounting, same single timeout event) to shed one generator
-        # frame from every event resume on the hit path; any contention
-        # falls back to the shared implementation.
-        cpu = node.cpu
-        res = cpu.resource
-        users = res.users
-        if not res._waiting and not users:
-            if res._busy_since is None:
-                res._busy_since = env._now
-            res._grants += 1
-            users.append(res)
-            try:
-                yield env.timeout(self._instr_lookup / cpu._mips_ms)
-            finally:
-                users.remove(res)
-                if not users and res._busy_since is not None:
-                    res._busy_time += env._now - res._busy_since
-                    res._busy_since = None
-                if res._waiting:
-                    res._grant_next()
-        else:
-            yield from cpu.consume(self._instr_lookup)
-        hit, dropped = node.buffers.probe(page_id, class_id)
-        if dropped:
-            self.directory.unregister_many(dropped, node_id)
-        if hit:
-            elapsed = env._now - start
-            self.costs.observe(AccessLevel.LOCAL, elapsed)
-            telemetry = self.telemetry
-            if telemetry is not None:
-                telemetry.on_access(
-                    node_id, class_id, AccessLevel.LOCAL, elapsed
-                )
-            return AccessLevel.LOCAL
-
-        level = yield from self._fetch(node, page_id)
-
-        dropped = node.buffers.admit(page_id, class_id)
-        if dropped:
-            self.directory.unregister_many(dropped, node_id)
-        if node.buffers.contains(page_id):
-            self.directory.register(page_id, node_id)
-        elapsed = env._now - start
-        self.costs.observe(level, elapsed)
-        telemetry = self.telemetry
-        if telemetry is not None:
-            telemetry.on_access(node_id, class_id, level, elapsed)
-        return level
-
-    def _fetch(self, node: Node, page_id: int):
-        """Generator: bring a page to ``node`` from remote cache or disk."""
-        remote_id = self.directory.remote_holder(page_id, node.node_id)
-        if remote_id is not None:
-            yield from self.network.send_message(MessageKind.PAGE_REQUEST)
-            remote = self.nodes[remote_id]
-            yield from remote.cpu.consume(
-                self._instr_message + self._instr_lookup
-            )
-            # The copy may have been evicted while our request was in
-            # flight; fall back to disk in that case.
-            if remote.buffers.contains(page_id):
-                yield from self.network.send_message(
-                    MessageKind.PAGE_SHIP, self.config.page_size
-                )
-                yield from node.cpu.consume(self._instr_page_handling)
-                return AccessLevel.REMOTE
-
-        home_id = self.database.home(page_id)
-        home = self.nodes[home_id]
-        faults = self.faults
-        if faults is not None and home_id != node.node_id:
-            # The home disk is unreachable while its node restarts.
-            delay = faults.down_delay(home_id, self.env._now)
-            if delay > 0.0:
-                yield self.env.timeout(delay)
-        if home_id == node.node_id:
-            yield from home.disk.read(self.config.page_size)
-            yield from node.cpu.consume(self._instr_page_handling)
-        else:
-            yield from self.network.send_message(MessageKind.PAGE_REQUEST)
-            yield from home.cpu.consume(self._instr_message)
-            yield from home.disk.read(self.config.page_size)
-            yield from self.network.send_message(
-                MessageKind.PAGE_SHIP, self.config.page_size
-            )
-            yield from node.cpu.consume(self._instr_page_handling)
-        return AccessLevel.DISK
+        return (yield from self.access_run(node_id, (page_id,), class_id))
 
     def access_run(self, node_id: int, page_ids, class_id: int):
         """Generator: a run of same-node, same-class page accesses.
 
-        Semantically a loop of :meth:`access_page` calls — the same
-        events in the same order with the same accounting, which the
-        batch-vs-loop parity test and the golden trace pin down — but
-        executed through a pooled :class:`_FetchChain`: each page is
-        one ``yield`` of the node's chain, which performs the whole
-        lookup / probe / fetch / admit sequence as self-advancing
-        events and resumes this generator once per page.  Where the
-        reference path suspends through ``access_page → _fetch →
-        send_message → transfer → occupy`` (every miss-path event
-        resume walks that whole chain of generator frames), here no
-        generator frame is entered between a page's first and last
-        event.  Workload drivers (the open-system generator, the trace
+        Each page is one ``yield`` of the node's pooled
+        :class:`_FetchChain`, which performs the whole lookup / probe /
+        fetch / admit sequence as self-advancing events and resumes
+        this generator once per page; no generator frame is entered
+        between a page's first and last event.  Returns the
+        :class:`AccessLevel` of the last page (None for an empty run).
+        Workload drivers (the open-system generator, the trace
         replayer, the closed-loop clients) feed whole operations
-        through here.
+        through here; transactions go through :meth:`access_page`.
+
+        A crashed origin node serves nothing until its restart delay
+        has elapsed: operations initiated there stall first (and their
+        response times spike — the signal the loop reacts to).
         """
         env = self.env
         # Per-node hold chain and fault binding, cached because
@@ -698,23 +569,25 @@ class Cluster:
             chain_pool.pop() if chain_pool
             else _FetchChain(self, node_id)
         )
+        level = None
         try:
             if faults is None:
                 for page_id in page_ids:
-                    yield chain._access(page_id, class_id, env._now)
+                    level = yield chain._access(page_id, class_id, env._now)
             else:
                 for page_id in page_ids:
                     start = env._now
                     delay = faults.down_delay(node_id, start)
                     if delay > 0.0:
                         yield pooled_timeout(env, delay)
-                    yield chain._access(page_id, class_id, start)
+                    level = yield chain._access(page_id, class_id, start)
         finally:
             # Return the chain for reuse by the next run — unless this
             # generator was closed mid-access (the chain would still
             # be armed in the event queue).
             if chain.callbacks is None:
                 chain_pool.append(chain)
+        return level
 
     def _build_run_ctx(self, node_id: int) -> tuple:
         """Build (and cache) :meth:`access_run`'s per-node context:

@@ -204,14 +204,7 @@ class Resource:
             request._value = 0.0
             seq = env._seq
             env._seq = seq + 1
-            calendar = env._calendar
-            if calendar is None:
-                queue = env._queue
-                heapq.heappush(queue, (now, URGENT, seq, request))
-                if env._auto_at and len(queue) >= env._auto_at:
-                    env._activate_calendar()
-            else:
-                calendar.push((now, URGENT, seq, request))
+            heapq.heappush(env._queue, (now, URGENT, seq, request))
             return
         request._enqueued_at = env._now
         self._waiting.append(request)

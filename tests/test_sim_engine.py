@@ -293,6 +293,33 @@ def test_peek_reports_next_event_time():
     assert env.peek() == float("inf")
 
 
+def test_unbounded_run_leaves_clock_at_last_event():
+    env = Environment()
+    fired = []
+
+    def proc():
+        yield env.timeout(3.0)
+        fired.append(env.now)
+        yield env.timeout(4.5)
+        fired.append(env.now)
+
+    env.process(proc())
+    env.run()
+    # The clock stops at the last dispatched event, not at the
+    # unbounded run's internal stop time (inf).
+    assert env.now == 7.5
+    assert fired == [3.0, 7.5]
+    assert env.pending_events == 0
+    assert env.peek() == float("inf")
+    # A drained environment resumes cleanly from where it stopped.
+    env.timeout(1.0)
+    assert env.pending_events == 1
+    assert env.peek() == 8.5
+    env.run()
+    assert env.now == 8.5
+    assert env.pending_events == 0
+
+
 def test_step_without_events_raises():
     env = Environment()
     with pytest.raises(SimulationError):
