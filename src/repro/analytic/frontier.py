@@ -87,13 +87,16 @@ class PrescreenReport:
         return counts
 
     def trace_fields(self) -> Dict:
-        """The record body for the ``prescreen`` telemetry kind."""
+        """The record body for the ``prescreen`` telemetry kind.
+
+        Host time (``solver_ms``) stays off the record so the merged
+        trace of a screened sweep is reproducible.
+        """
         return dict(
             grid=self.grid_size,
             frontier=self.frontier_size,
             solver_iterations=self.solver_iterations,
             solves=self.solves,
-            ms=round(self.solver_ms, 3),
             budget=self.budget,
             regimes=self.regime_counts(),
         )
@@ -279,7 +282,6 @@ class PairPrescreenReport:
             frontier=self.frontier_size,
             solver_iterations=self.solver_iterations,
             solves=self.solves,
-            ms=round(self.solver_ms, 3),
             budget=self.budget,
             feasible=feasible,
             infeasible=self.grid_size - feasible,

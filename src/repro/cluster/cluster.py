@@ -63,7 +63,7 @@ class _FetchChain(Event):
     public ``consume`` / ``send_message`` / ``disk.read`` steps is the
     invariant (the batch parity suite keeps that generator as its
     oracle): every hold pushes one heap entry with the same time and
-    sequence number the ``occupy``/``acquire_fast`` code would,
+    sequence number :meth:`~repro.sim.resources.Resource.occupy` would,
     uncontended grants consume no event, and contended holds fall back
     to a real :class:`~repro.sim.resources.Request` so FIFO order and
     wait accounting are untouched.  All chained resources have
@@ -227,7 +227,7 @@ class _FetchChain(Event):
         if res is not None:
             req = self._req
             if req is None:
-                # Inline release, mirroring Resource.release_fast.
+                # Inline release, mirroring Resource.occupy's finally.
                 users = res.users
                 users.remove(res)
                 if not users and res._busy_since is not None:

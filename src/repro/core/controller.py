@@ -72,7 +72,6 @@ class GoalOrientedController:
         cluster: Cluster,
         goals: Dict[int, float],
         interval_ms: Optional[float] = None,
-        tolerance_factory: Callable[[], GoalTolerance] = GoalTolerance,
         warmup_fraction: float = 0.25,
         warmup_step: float = 0.125,
         max_point_age_intervals: Optional[int] = 40,
@@ -105,7 +104,7 @@ class GoalOrientedController:
                 node_sizes=node_sizes,
                 goal_ms=goal_ms,
                 page_size=cluster.config.page_size,
-                tolerance=tolerance_factory(),
+                tolerance=GoalTolerance(),
                 warmup_fraction=warmup_fraction,
                 warmup_step=warmup_step,
                 max_point_age=max_age,

@@ -4,12 +4,11 @@ Every sweep in this repository pays a simulated warm-up per point per
 replicate before the controller's feedback loop is even exercised —
 for short-horizon sweeps the dominant share of wall-clock.  The warm-up
 trajectory is, by construction, independent of the response time
-goals, the goal tolerance, and the controller policy knobs: the
-controller only *observes* during warm-up (its agents record arrivals
-and completions), and none of those parameters influence the workload
-generator, the cluster, or any RNG stream before the controller is
-activated.  Sweep points that differ only in such parameters can
-therefore share one warmed simulation.
+goals: the controller only *observes* during warm-up (its agents
+record arrivals and completions), and the goals influence neither the
+workload generator, the cluster, nor any RNG stream before the
+controller is activated.  Sweep points that differ only in their goals
+can therefore share one warmed simulation.
 
 A warmed :class:`~repro.experiments.runner.Simulation` is not
 picklable — it holds live generator coroutines, the event heap, heat
@@ -19,48 +18,35 @@ simulation **once**, then forks one child per sweep point.  Each child
 continues from the copy-on-write memory image (exact, so results are
 bit-identical to a cold per-point run), applies its point-specific
 :class:`WarmDelta`, runs the measured horizon, and streams its pickled
-result back over a pipe.  ``jobs`` children run concurrently, so fork
-fan-out composes with the process-parallel replication of
-:mod:`repro.experiments.parallel`.
+result back over a pipe.  ``jobs`` children run concurrently.
 
-Safety is enforced by a two-stage warm-up-invariance guard:
+Every experiment sweep runs through one driver, :func:`run_sweep`.
+Callers describe their points as :class:`WarmGroup` objects (a build
+callable, one :class:`WarmDelta` and one telemetry label per point,
+and a measure callable); the driver plans fork or cold, runs the
+points, and merges the per-point telemetry directories.
 
-* **statically** — :func:`plan_sweep` only selects the fork path when
-  every delta is declared warm-up-invariant (the structured
-  :class:`WarmDelta` fields are invariant by construction; arbitrary
-  ``configure`` callables must be vetted with the
-  :func:`warmup_invariant` decorator) and when the sweep actually
-  shares warm state (more than one point per warm key);
-* **at runtime** — :func:`apply_delta` fingerprints the simulation
-  (clock, event-heap occupancy, scheduling sequence, every RNG-stream
-  state) before and after the delta and raises
-  :class:`WarmupInvarianceError` on any perturbation.
+:func:`apply_delta` guards every point at runtime: it fingerprints the
+simulation (clock, event-heap occupancy, scheduling sequence, every
+RNG-stream state) before and after the delta and raises
+:class:`WarmupInvarianceError` on any perturbation.
 
 On platforms without ``os.fork`` (or when the plan decides the points
 do not share warm state) the same sweeps fall back to the cold
-per-point path — gracefully, never as a failure.
+per-point path, run by :func:`repro.experiments.parallel.run_tasks` —
+gracefully, never as a failure.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import pickle
 import selectors
 import traceback
-from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from dataclasses import dataclass
+from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.experiments.parallel import resolve_jobs
+from repro.experiments.parallel import resolve_jobs, run_tasks
 from repro.experiments.runner import Simulation
 
 #: Chunk size for draining child result pipes.
@@ -80,19 +66,6 @@ def supports_fork() -> bool:
     return hasattr(os, "fork") and hasattr(os, "pipe")
 
 
-def warmup_invariant(fn: Callable) -> Callable:
-    """Mark a ``configure`` callable as vetted warm-up-invariant.
-
-    The contract: the callable may mutate controller and coordinator
-    state (goals, tolerances, policy knobs, coordinator subclasses) but
-    must not advance the clock, schedule or cancel events, draw from
-    any RNG stream, or touch the cluster, workload, or generator.  The
-    runtime fingerprint guard verifies the observable half of this.
-    """
-    fn.__warmup_invariant__ = True
-    return fn
-
-
 @dataclass(frozen=True)
 class WarmDelta:
     """A warm-up-invariant description of one sweep point.
@@ -100,55 +73,16 @@ class WarmDelta:
     ``goals`` maps goal class ids to new response time goals (applied
     via ``controller.set_goal``, which is state-equivalent to having
     constructed the simulation with that goal because coordinators are
-    untouched during warm-up).  ``tolerance_factory`` replaces every
-    coordinator's goal tolerance.  ``configure`` is an escape hatch for
-    controller-policy deltas (e.g. swapping in baseline coordinators);
-    it must be vetted with :func:`warmup_invariant` or the planner
-    refuses to fork.  ``tag`` is an opaque label carried through for
-    the caller's bookkeeping.
+    untouched during warm-up).  The empty delta leaves the built
+    simulation as it is.
     """
 
     goals: Tuple[Tuple[int, float], ...] = ()
-    tolerance_factory: Optional[Callable[[], Any]] = None
-    configure: Optional[Callable[[Simulation], None]] = None
-    tag: Any = None
 
     @staticmethod
-    def for_goals(goals: Mapping[int, float], **kwargs) -> "WarmDelta":
+    def for_goals(goals: Mapping[int, float]) -> "WarmDelta":
         """Delta that re-targets the given goal classes."""
-        return WarmDelta(goals=tuple(sorted(goals.items())), **kwargs)
-
-    @property
-    def statically_invariant(self) -> bool:
-        """True when every field is warm-up-invariant by construction."""
-        return self.configure is None or bool(
-            getattr(self.configure, "__warmup_invariant__", False)
-        )
-
-
-def telemetry_delta(delta: WarmDelta, outdir: str) -> WarmDelta:
-    """Extend ``delta`` so its sweep point exports telemetry to ``outdir``.
-
-    ``Simulation.set_telemetry`` only records the spec — the pipeline
-    attaches at activation and files open at export, both inside the
-    forked child — so the added ``configure`` is warm-up-invariant and
-    each child writes its own per-point sink post-fork.  The cold path
-    applies the same delta, giving bit-identical artifacts.
-    """
-    base = delta.configure
-
-    @warmup_invariant
-    def configure(sim: Simulation) -> None:
-        if base is not None:
-            base(sim)
-        sim.set_telemetry(outdir)
-
-    return dataclasses.replace(delta, configure=configure)
-
-
-def _measure_nothing(sim: Simulation) -> None:
-    """Default measure: discard the simulation and return nothing."""
-    return None
+        return WarmDelta(goals=tuple(sorted(goals.items())))
 
 
 @dataclass
@@ -156,15 +90,19 @@ class WarmGroup:
     """One warm-state group: points sharing a single warmed parent.
 
     ``build`` constructs the (un-warmed) :class:`Simulation` shared by
-    all points of the group; ``deltas`` are the per-point adjustments;
-    ``measure`` runs the measured horizon on the (warmed, adjusted)
-    simulation and returns a **picklable** result — it crosses a pipe
-    on the fork path and a process boundary on parallel cold paths.
+    all points of the group; ``deltas`` are the per-point adjustments
+    and ``labels`` the per-point telemetry directory names; ``measure``
+    runs the measured horizon on the (warmed, adjusted) simulation and
+    returns a **picklable** result — it crosses a pipe on the fork
+    path and a process boundary on parallel cold paths.  For
+    ``jobs > 1`` ``build`` and ``measure`` must be picklable too
+    (``functools.partial`` over module-level functions).
     """
 
     build: Callable[[], Simulation]
-    deltas: Sequence[WarmDelta] = field(default_factory=list)
-    measure: Callable[[Simulation], Any] = _measure_nothing
+    deltas: Sequence[WarmDelta]
+    measure: Callable[[Simulation], Any]
+    labels: Sequence[str]
 
 
 # -- the warm-up-invariance guard ------------------------------------
@@ -191,9 +129,7 @@ def warm_fingerprint(sim: Simulation) -> tuple:
     )
 
 
-def apply_delta(
-    sim: Simulation, delta: WarmDelta, guard: bool = True
-) -> None:
+def apply_delta(sim: Simulation, delta: WarmDelta) -> None:
     """Apply a sweep-point delta to a warmed, not-yet-active simulation.
 
     Raises :class:`WarmupInvarianceError` when the simulation is in the
@@ -211,15 +147,10 @@ def apply_delta(
             "sweep-point delta applied before warm-up; warm() first so "
             "the guard can certify the delta against the warmed state"
         )
-    before = warm_fingerprint(sim) if guard else None
+    before = warm_fingerprint(sim)
     for class_id, goal_ms in delta.goals:
         sim.controller.set_goal(class_id, goal_ms)
-    if delta.tolerance_factory is not None:
-        for coordinator in sim.controller.coordinators.values():
-            coordinator.tolerance = delta.tolerance_factory()
-    if delta.configure is not None:
-        delta.configure(sim)
-    if guard and warm_fingerprint(sim) != before:
+    if warm_fingerprint(sim) != before:
         raise WarmupInvarianceError(
             "sweep-point delta perturbed warm state (clock, event "
             "heap, or an RNG stream); it would not reproduce the "
@@ -230,47 +161,16 @@ def apply_delta(
 # -- planning ---------------------------------------------------------
 
 
-def _all_statically_invariant(
-    deltas: Sequence["WarmDelta"],
-) -> bool:
-    """Vet each *unique* ``configure`` callable once, not once per point.
-
-    Sweeps repeat a handful of delta shapes across replicates (the
-    figure-2 sweep passes ``deltas * len(seeds)``), so the planner
-    caches the vetting verdict per callable — the only field the
-    static check inspects — instead of re-evaluating the full list
-    point by point.  Deltas without a ``configure`` (the common case)
-    are invariant by construction and skip the cache entirely.
-    """
-    verdicts: Dict[int, bool] = {}
-    for delta in deltas:
-        fn = delta.configure
-        if fn is None:
-            continue
-        key = id(fn)
-        verdict = verdicts.get(key)
-        if verdict is None:
-            verdict = bool(getattr(fn, "__warmup_invariant__", False))
-            verdicts[key] = verdict
-        if not verdict:
-            return False
-    return True
-
-
-def plan_sweep(
-    runner: str,
-    warm_keys: Sequence,
-    deltas: Optional[Sequence[WarmDelta]] = None,
-) -> str:
+def plan_sweep(runner: str, warm_keys: Sequence) -> str:
     """Resolve ``runner`` ('auto' | 'fork' | 'cold') to a concrete mode.
 
     ``warm_keys`` carries one hashable key per sweep point; points
     share a warmed parent exactly when their keys are equal.  The fork
-    path is selected only when the platform supports ``os.fork``, at
-    least one key occurs more than once (otherwise there is no warm-up
-    to amortize), and every delta is statically warm-up-invariant.
-    ``runner='fork'`` raises :class:`ForkUnavailableError` instead of
-    silently degrading; ``'auto'`` falls back to ``'cold'``.
+    path is selected only when the platform supports ``os.fork`` and
+    at least one key occurs more than once (otherwise there is no
+    warm-up to amortize).  ``runner='fork'`` raises
+    :class:`ForkUnavailableError` instead of silently degrading;
+    ``'auto'`` falls back to ``'cold'``.
     """
     if runner not in ("auto", "fork", "cold"):
         raise ValueError(f"unknown runner {runner!r}")
@@ -279,11 +179,6 @@ def plan_sweep(
     reason = None
     if not supports_fork():
         reason = "platform has no os.fork"
-    elif deltas is not None and not _all_statically_invariant(deltas):
-        reason = (
-            "a delta carries a configure callable not vetted with "
-            "@warmup_invariant"
-        )
     else:
         keys = list(warm_keys)
         if len(keys) == len(set(keys)):
@@ -302,16 +197,34 @@ def plan_sweep(
 # -- execution --------------------------------------------------------
 
 
-def _run_cold_point(
-    build: Callable[[], Simulation],
+def _run_point(
+    sim: Simulation,
     delta: WarmDelta,
     measure: Callable[[Simulation], Any],
+    outdir: Optional[str],
 ) -> Any:
-    """The cold per-point path: fresh simulation, same delta contract."""
+    """Adjust a warmed simulation to one point and measure it.
+
+    The same body runs in the fork child and on the cold path, so both
+    arm telemetry at the same moment: right after the delta, before
+    activation (``set_telemetry`` only records the export directory).
+    """
+    apply_delta(sim, delta)
+    if outdir is not None:
+        sim.set_telemetry(outdir)
+    return measure(sim)
+
+
+def _run_cold_point(task) -> Any:
+    """The cold per-point path: fresh simulation, same delta contract.
+
+    ``task`` is ``(build, delta, measure, outdir)`` (module-level and
+    tuple-shaped so :func:`run_tasks` can ship it to a worker).
+    """
+    build, delta, measure, outdir = task
     sim = build()
     sim.warm()
-    apply_delta(sim, delta)
-    return measure(sim)
+    return _run_point(sim, delta, measure, outdir)
 
 
 def _child_main(
@@ -319,20 +232,21 @@ def _child_main(
     sim: Simulation,
     delta: WarmDelta,
     measure: Callable[[Simulation], Any],
+    outdir: Optional[str],
 ) -> None:
     """Body of a forked sweep-point child; never returns.
 
-    The child continues from the parent's warmed memory image, applies
-    its delta, runs the measured horizon, and pickles the result back.
-    Failures travel the same pipe as a (kind, traceback) payload so the
-    parent can re-raise with full context.  ``os._exit`` skips atexit
-    handlers and buffer flushes that belong to the parent.
+    The child continues from the parent's warmed memory image, runs
+    its point, and pickles the result back.  Failures travel the same
+    pipe as a (kind, traceback) payload so the parent can re-raise with
+    full context.  ``os._exit`` skips atexit handlers and buffer
+    flushes that belong to the parent.
     """
     try:
         try:
-            apply_delta(sim, delta)
             payload = pickle.dumps(
-                ("ok", measure(sim)), protocol=pickle.HIGHEST_PROTOCOL
+                ("ok", _run_point(sim, delta, measure, outdir)),
+                protocol=pickle.HIGHEST_PROTOCOL,
             )
         except WarmupInvarianceError as exc:
             payload = pickle.dumps(("invariance", str(exc)))
@@ -350,6 +264,7 @@ def _fork_group(
     sim: Simulation,
     deltas: Sequence[WarmDelta],
     measure: Callable[[Simulation], Any],
+    outdirs: Sequence[Optional[str]],
     jobs: int,
 ) -> List[Any]:
     """Fork one child per delta off the warmed ``sim``, ``jobs`` at a time.
@@ -393,7 +308,7 @@ def _fork_group(
                 reap(fd)
 
     try:
-        for index, delta in enumerate(deltas):
+        for index, (delta, outdir) in enumerate(zip(deltas, outdirs)):
             while len(pending) >= jobs:
                 drain_once()
             read_fd, write_fd = os.pipe()
@@ -403,7 +318,7 @@ def _fork_group(
                 # Inherited read ends of sibling pipes are harmless for
                 # the parent's EOF detection (that hangs off the write
                 # ends), and os._exit drops them with the process.
-                _child_main(write_fd, sim, delta, measure)
+                _child_main(write_fd, sim, delta, measure, outdir)
             os.close(write_fd)
             pending[read_fd] = (index, pid, bytearray())
             sel.register(read_fd, selectors.EVENT_READ)
@@ -422,53 +337,64 @@ def _fork_group(
     return results
 
 
-def run_warm_groups(
+def run_sweep(
     groups: Sequence[WarmGroup],
+    *,
     jobs: int = 1,
     runner: str = "auto",
-) -> List[List[Any]]:
-    """Run every warm group, forking within groups of more than one point.
+    telemetry: Optional[str] = None,
+) -> Tuple[str, List[List[Any]]]:
+    """Run every point of every group; return ``(mode, per-group results)``.
 
-    Each group warms its parent simulation once; its points then run as
-    copy-on-write forks, up to ``jobs`` concurrently.  Singleton groups
-    (nothing to amortize) and ``runner='cold'`` use the cold per-point
-    path, which applies the *same* delta contract to a fresh simulation
-    — so the two paths are bit-identical by construction and every
-    group returns its results in point order.
+    Groups of more than one point warm their parent simulation once
+    and fork the points off it, up to ``jobs`` concurrently.  Singleton
+    groups and ``runner='cold'`` build, warm and adjust a fresh
+    simulation per point, farmed to ``jobs`` worker processes — the
+    *same* delta contract, so the two paths are bit-identical.  Each
+    group's results come back in point order.
+
+    With ``telemetry`` (a directory path) point ``label`` exports to
+    ``<telemetry>/<label>/``, and the point directories are merged in
+    group-then-point order once every point has finished, so fork and
+    cold runs produce identical artifact trees.
     """
     jobs = resolve_jobs(jobs)
-    warm_keys = [
-        key for key, group in enumerate(groups) for _ in group.deltas
-    ]
-    deltas = [delta for group in groups for delta in group.deltas]
-    mode = plan_sweep(runner, warm_keys, deltas)
-    results: List[List[Any]] = []
     for group in groups:
-        if mode == "cold" or len(group.deltas) <= 1:
-            results.append([
-                _run_cold_point(group.build, delta, group.measure)
-                for delta in group.deltas
-            ])
-            continue
-        sim = group.build()
-        sim.warm()
-        results.append(
-            _fork_group(sim, group.deltas, group.measure, jobs)
-        )
-    return results
-
-
-def run_warm_sweep(
-    build: Callable[[], Simulation],
-    deltas: Sequence[WarmDelta],
-    measure: Callable[[Simulation], Any],
-    jobs: int = 1,
-    runner: str = "auto",
-) -> List[Any]:
-    """Single-group convenience wrapper around :func:`run_warm_groups`."""
-    [results] = run_warm_groups(
-        [WarmGroup(build=build, deltas=list(deltas), measure=measure)],
-        jobs=jobs,
-        runner=runner,
+        if len(group.labels) != len(group.deltas):
+            raise ValueError("a warm group needs one label per delta")
+    mode = plan_sweep(
+        runner, [key for key, group in enumerate(groups)
+                 for _ in group.deltas],
     )
-    return results
+
+    def outdir(label: str) -> Optional[str]:
+        return None if telemetry is None else os.path.join(telemetry, label)
+
+    results: List[List[Any]] = []
+    cold_slots: List[Tuple[int, int]] = []
+    cold_tasks: List[tuple] = []
+    for index, group in enumerate(groups):
+        outdirs = [outdir(label) for label in group.labels]
+        if mode == "fork" and len(group.deltas) > 1:
+            sim = group.build()
+            sim.warm()
+            results.append(
+                _fork_group(sim, group.deltas, group.measure, outdirs, jobs)
+            )
+            continue
+        results.append([None] * len(group.deltas))
+        for slot, (delta, point_dir) in enumerate(zip(group.deltas, outdirs)):
+            cold_slots.append((index, slot))
+            cold_tasks.append((group.build, delta, group.measure, point_dir))
+    for (index, slot), result in zip(
+        cold_slots, run_tasks(_run_cold_point, cold_tasks, jobs=jobs)
+    ):
+        results[index][slot] = result
+    if telemetry is not None:
+        from repro.telemetry.exporters import merge_point_dirs
+
+        merge_point_dirs(telemetry, [
+            (label, outdir(label))
+            for group in groups for label in group.labels
+        ])
+    return mode, results

@@ -123,9 +123,10 @@ class Simulation:
 
         Only records the spec — attachment happens in
         :meth:`activate`, file writes in :meth:`export_telemetry` — so
-        calling this from a fork-server ``WarmDelta.configure`` is
-        warmup-invariant: no events, no RNG, no files, and each forked
-        child opens its own sinks post-fork.
+        the sweep driver calls it on a warmed image (in each forked
+        child, or on the cold path) without perturbing it: no events,
+        no RNG, no files, and each forked child opens its own sinks
+        post-fork.
         """
         if self._started:
             raise RuntimeError("telemetry must be armed before activation")

@@ -23,9 +23,11 @@ per node** that walks precomputed variate columns:
   new sampler — consumption order and variate identity never change.
 
 **Draw-order contract** (pinned by the block-equivalence property
-test): for every stream, the i-th variate consumed through a column
-equals the i-th variate the sequential front-end would have drawn,
-for any block size and any refill point.  Named streams are
+test and by the sequential oracle ``reference_arrivals`` in
+``tests/test_workload_blockgen.py``): for every stream, the i-th
+variate consumed through a column equals the i-th variate the
+sequential front-end would have drawn, for any block size and any
+refill point.  Named streams are
 independent, so pre-drawing one stream in blocks cannot perturb any
 other; the golden arrival trace is unchanged.
 

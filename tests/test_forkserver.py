@@ -14,16 +14,17 @@ from repro.experiments.calibration import (
     GoalRange,
     calibrate_goal_range,
 )
+from repro.core.controller import GoalOrientedController
 from repro.experiments.forkserver import (
     ForkUnavailableError,
     WarmDelta,
+    WarmGroup,
     WarmupInvarianceError,
     apply_delta,
     plan_sweep,
-    run_warm_sweep,
+    run_sweep,
     supports_fork,
     warm_fingerprint,
-    warmup_invariant,
 )
 from repro.experiments.runner import (
     CALIBRATION_WARMUP_MS,
@@ -49,6 +50,31 @@ def _build_sim(fast_config, seed=3, goal_ms=4.0, warmup_ms=6_000.0):
     )
 
 
+def _patch_set_goal(monkeypatch, side_effect):
+    """Make every ``set_goal`` run ``side_effect(controller)`` first.
+
+    A goal delta is the only thing :func:`apply_delta` applies, so this
+    is how a test smuggles a warm-state perturbation into a delta.  The
+    patch lives on the class, so forked children inherit it.
+    """
+    original = GoalOrientedController.set_goal
+
+    def set_goal(self, class_id, goal_ms):
+        side_effect(self)
+        original(self, class_id, goal_ms)
+
+    monkeypatch.setattr(GoalOrientedController, "set_goal", set_goal)
+
+
+def _draw_rng(controller):
+    controller.cluster.rng.random("page-select/goal")
+
+
+def _advance_clock(controller):
+    env = controller.cluster.env
+    env.run(until=env.now + 1.0)
+
+
 # -- planning ---------------------------------------------------------
 
 
@@ -69,76 +95,6 @@ def test_plan_sweep_forks_only_shared_warm_keys():
     assert plan_sweep("auto", warm_keys=[7, 8, 9]) == "cold"
     with pytest.raises(ForkUnavailableError):
         plan_sweep("fork", warm_keys=[7, 8, 9])
-
-
-@requires_fork
-def test_plan_sweep_static_guard_rejects_unvetted_configure():
-    unvetted = WarmDelta(configure=lambda sim: None)
-    vetted = WarmDelta(configure=warmup_invariant(lambda sim: None))
-    assert plan_sweep("auto", [1, 1], deltas=[unvetted] * 2) == "cold"
-    assert plan_sweep("auto", [1, 1], deltas=[vetted] * 2) == "fork"
-    with pytest.raises(ForkUnavailableError):
-        plan_sweep("fork", [1, 1], deltas=[unvetted] * 2)
-
-
-class _ProbeConfigure:
-    """Configure callable that counts vetting-flag lookups."""
-
-    def __init__(self, invariant):
-        self.lookups = 0
-        self.invariant = invariant
-
-    def __call__(self, sim):
-        return None
-
-    @property
-    def __warmup_invariant__(self):
-        self.lookups += 1
-        return self.invariant
-
-
-@requires_fork
-def test_plan_sweep_vets_each_unique_configure_once():
-    # Sweeps repeat one delta shape across replicates; the planner
-    # must evaluate the vetting flag once per callable, not per point.
-    vetted = _ProbeConfigure(True)
-    assert plan_sweep(
-        "auto", [1] * 40, deltas=[WarmDelta(configure=vetted)] * 40
-    ) == "fork"
-    assert vetted.lookups == 1
-
-    unvetted = _ProbeConfigure(False)
-    assert plan_sweep(
-        "auto", [1] * 40, deltas=[WarmDelta(configure=unvetted)] * 40
-    ) == "cold"
-    assert unvetted.lookups == 1
-
-
-@requires_fork
-def test_plan_sweep_vet_cache_is_per_callable():
-    # One unvetted configure among many vetted ones still downgrades:
-    # verdicts never leak across distinct callables.
-    vetted = warmup_invariant(lambda sim: None)
-    mixed = [WarmDelta(configure=vetted)] * 3 + [
-        WarmDelta(configure=lambda sim: None)
-    ]
-    assert plan_sweep("auto", [1] * 4, deltas=mixed) == "cold"
-
-
-@requires_fork
-def test_vet_cache_does_not_weaken_runtime_clock_guard(fast_config):
-    # A vetted-but-lying configure that advances the clock passes the
-    # (cached) static check yet must still trip the fingerprint guard.
-    @warmup_invariant
-    def bad(sim):
-        sim.env.run(until=sim.env.now + 1.0)
-
-    deltas = [WarmDelta(configure=bad)] * 2
-    assert plan_sweep("auto", [1, 1], deltas=deltas) == "fork"
-    sim = _build_sim(fast_config)
-    sim.warm()
-    with pytest.raises(WarmupInvarianceError):
-        apply_delta(sim, deltas[0])
 
 
 def test_plan_sweep_degrades_without_fork(monkeypatch):
@@ -171,29 +127,24 @@ def test_apply_delta_sets_goals_without_perturbing_warm_state(
     assert warm_fingerprint(sim) == before
 
 
-def test_runtime_guard_catches_rng_drawing_configure(fast_config):
-    # Vetting is a promise, not a proof: a @warmup_invariant callable
-    # that draws randomness passes the static planner but must be
-    # caught by the before/after fingerprint.
-    @warmup_invariant
-    def bad(sim):
-        sim.cluster.rng.random("page-select/goal")
-
+def test_runtime_guard_catches_rng_drawing_configure(
+    fast_config, monkeypatch
+):
+    # A goal delta whose set_goal draws randomness must be caught by
+    # the before/after fingerprint.
     sim = _build_sim(fast_config)
     sim.warm()
+    _patch_set_goal(monkeypatch, _draw_rng)
     with pytest.raises(WarmupInvarianceError):
-        apply_delta(sim, WarmDelta(configure=bad))
+        apply_delta(sim, WarmDelta.for_goals({1: 5.0}))
 
 
-def test_runtime_guard_catches_clock_advance(fast_config):
-    @warmup_invariant
-    def bad(sim):
-        sim.env.run(until=sim.env.now + 1.0)
-
+def test_runtime_guard_catches_clock_advance(fast_config, monkeypatch):
     sim = _build_sim(fast_config)
     sim.warm()
+    _patch_set_goal(monkeypatch, _advance_clock)
     with pytest.raises(WarmupInvarianceError):
-        apply_delta(sim, WarmDelta(configure=bad))
+        apply_delta(sim, WarmDelta.for_goals({1: 5.0}))
 
 
 # -- fork == cold bit-identity ----------------------------------------
@@ -300,39 +251,40 @@ def test_auto_falls_back_cold_without_fork(fast_config, monkeypatch):
 # -- error propagation across the pipe --------------------------------
 
 
+def _goal_group(fast_config, measure):
+    return WarmGroup(
+        build=lambda: _build_sim(fast_config),
+        deltas=[WarmDelta.for_goals({1: g}) for g in (4.0, 5.0)],
+        measure=measure,
+        labels=["a", "b"],
+    )
+
+
 @requires_fork
 def test_child_failure_reraises_in_parent(fast_config):
-    def build():
-        return _build_sim(fast_config)
-
     def explode(sim):
         raise KeyError("boom in the child")
 
     with pytest.raises(RuntimeError, match="boom in the child"):
-        run_warm_sweep(
-            build,
-            deltas=[WarmDelta.for_goals({1: g}) for g in (4.0, 5.0)],
-            measure=explode,
-            runner="fork",
-        )
+        run_sweep([_goal_group(fast_config, explode)], runner="fork")
 
 
 @requires_fork
-def test_child_invariance_violation_reraises_typed(fast_config):
-    @warmup_invariant
-    def bad(sim):
-        sim.cluster.rng.random("page-select/goal")
-
-    def build():
-        return _build_sim(fast_config)
-
+def test_child_invariance_violation_reraises_typed(
+    fast_config, monkeypatch
+):
+    _patch_set_goal(monkeypatch, _draw_rng)
     with pytest.raises(WarmupInvarianceError):
-        run_warm_sweep(
-            build,
-            deltas=[WarmDelta(configure=bad)] * 2,
-            measure=lambda sim: None,
-            runner="fork",
+        run_sweep(
+            [_goal_group(fast_config, lambda sim: None)], runner="fork"
         )
+
+
+def test_run_sweep_requires_one_label_per_delta(fast_config):
+    group = _goal_group(fast_config, lambda sim: None)
+    group.labels = ["only-one"]
+    with pytest.raises(ValueError):
+        run_sweep([group])
 
 
 # -- sweeps that can never fork refuse loudly -------------------------

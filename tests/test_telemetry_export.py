@@ -121,39 +121,173 @@ def _telemetry_tree(root):
     return tree
 
 
-def _sweep(tmp_path, label, runner, jobs):
-    outdir = str(tmp_path / label)
+def _figure2_sweep(**kwargs):
     data = run_goal_sweep(
-        goals=[3.0, 6.0],
-        seed=5,
-        replicates=1,
-        intervals=3,
-        config=CONFIG,
-        goal_range=GOAL_RANGE,
-        warmup_ms=WARMUP_MS,
-        jobs=jobs,
-        runner=runner,
-        telemetry=outdir,
+        seed=5, replicates=1, intervals=3, config=CONFIG,
+        goal_range=GOAL_RANGE, warmup_ms=WARMUP_MS, **kwargs,
     )
-    points = [
-        (p.goal_ms, p.observed_rt, p.dedicated_bytes, p.p95_rt_ms)
-        for p in data.points
-    ]
-    return points, _telemetry_tree(outdir)
+    return {
+        f"rep0-goal{g}": (
+            p.goal_ms, p.observed_rt, p.dedicated_bytes, p.p95_rt_ms
+        )
+        for g, p in enumerate(data.points)
+    }
 
 
-def test_fork_and_cold_telemetry_trees_identical(tmp_path):
-    points_fork, tree_fork = _sweep(tmp_path, "fork", "fork", 1)
-    points_cold, tree_cold = _sweep(tmp_path, "cold", "cold", 1)
+def _prescreened_goals():
+    """The goals ``prescreen=40`` selects, computed apart from the sweep."""
+    from repro.analytic.frontier import prescreen_goals
+    from repro.experiments.figure2 import sweep_goals
+    from repro.experiments.runner import default_workload
+
+    return prescreen_goals(
+        CONFIG, default_workload(CONFIG), sweep_goals(GOAL_RANGE, 40)
+    ).selected_goals()
+
+
+def _figure2_direct(goals, outdir):
+    """The last sweep point, on a simulation built with its own goal."""
+    from repro.experiments.figure2 import (
+        _build_sweep_sim,
+        _summarize_goal_point,
+    )
+    from repro.experiments.parallel import derive_replicate_seed
+
+    sim = _build_sweep_sim(
+        CONFIG, 0.0, 0.02, goals[-1], derive_replicate_seed(5, 0), WARMUP_MS
+    )
+    sim.set_telemetry(outdir)
+    p = _summarize_goal_point(sim, intervals=3)
+    return f"rep0-goal{len(goals) - 1}", (
+        p.goal_ms, p.observed_rt, p.dedicated_bytes, p.p95_rt_ms
+    )
+
+
+def _multiclass_sweep(**kwargs):
+    from repro.experiments import multiclass
+
+    data = multiclass.run_goal_sweep(
+        goal_pairs=((3.0, 8.0), (4.0, 10.0)),
+        config=multiclass.doubled_cache_config(CONFIG), intervals=3,
+        tail=2, warmup_ms=WARMUP_MS, **kwargs,
+    )
+    return {
+        f"pair{g}": p.to_row(extended=True)
+        for g, p in enumerate(data.points)
+    }
+
+
+def _multiclass_direct(outdir):
+    from repro.experiments import multiclass
+
+    sim = multiclass._build_multiclass_sim(
+        multiclass.doubled_cache_config(CONFIG), 4.0, 10.0, 0.0, 0.0, 7,
+        WARMUP_MS,
+    )
+    sim.set_telemetry(outdir)
+    point = multiclass._measure_goal_pair(
+        sim, sharing=0.0, intervals=3, tail=2
+    )
+    return "pair1", point.to_row(extended=True)
+
+
+def _resilience_sweep(**kwargs):
+    from repro.experiments import resilience
+
+    data = resilience.run_goal_sweep(
+        goals=(4.0, 7.0), seed=0, intervals=8, config=CONFIG,
+        replications=2, warmup_ms=WARMUP_MS, **kwargs,
+    )
+    return {
+        f"rep{r}-goal{g}": repr(replicate)
+        for g, result in enumerate(data.results)
+        for r, replicate in enumerate(result.replicates)
+    }
+
+
+def _resilience_direct(outdir):
+    from repro.experiments import resilience
+    from repro.experiments.parallel import derive_replicate_seed
+
+    faults = resilience.default_fault_spec(
+        8, CONFIG.observation_interval_ms, WARMUP_MS
+    )
+    sim = resilience._build_resilience_sim(
+        CONFIG, 7.0, WARMUP_MS, faults, 0.02, derive_replicate_seed(0, 1)
+    )
+    sim.set_telemetry(outdir)
+    return "rep1-goal1", repr(resilience._measure_resilience(sim, 8))
+
+
+#: Every goal sweep with a fork path: name -> (sweep(runner, jobs,
+#: telemetry) -> {point label: comparable point}, direct(outdir) ->
+#: (label, point) for a non-first point built with its own goals).
+GOAL_SWEEPS = {
+    "figure2": (
+        lambda **kw: _figure2_sweep(goals=[3.0, 6.0], **kw),
+        lambda outdir: _figure2_direct([3.0, 6.0], outdir),
+    ),
+    "figure2-prescreen": (
+        lambda **kw: _figure2_sweep(prescreen=40, **kw),
+        lambda outdir: _figure2_direct(_prescreened_goals(), outdir),
+    ),
+    "multiclass": (_multiclass_sweep, _multiclass_direct),
+    "resilience": (_resilience_sweep, _resilience_direct),
+}
+
+
+@pytest.fixture(scope="module")
+def sweep_run(tmp_path_factory):
+    """Run (and cache) one goal sweep: ``(sweep, runner, jobs)`` ->
+    ``(points, telemetry dir)``, so the tests below share their runs."""
+    cache = {}
+
+    def run(sweep, runner, jobs=1):
+        key = (sweep, runner, jobs)
+        if key not in cache:
+            outdir = str(tmp_path_factory.mktemp("sweep") / "tel")
+            points = GOAL_SWEEPS[sweep][0](
+                runner=runner, jobs=jobs, telemetry=outdir
+            )
+            cache[key] = (points, outdir)
+        return cache[key]
+
+    return run
+
+
+@pytest.mark.parametrize("sweep", sorted(GOAL_SWEEPS))
+def test_fork_and_cold_telemetry_trees_identical(sweep_run, sweep):
+    points_fork, dir_fork = sweep_run(sweep, "fork")
+    points_cold, dir_cold = sweep_run(sweep, "cold")
     assert points_fork == points_cold
-    assert tree_fork == tree_cold
+    assert _telemetry_tree(dir_fork) == _telemetry_tree(dir_cold)
 
 
-def test_jobs_do_not_change_telemetry(tmp_path):
-    points_1, tree_1 = _sweep(tmp_path, "j1", "cold", 1)
-    points_2, tree_2 = _sweep(tmp_path, "j2", "cold", 2)
+@pytest.mark.parametrize("sweep", sorted(GOAL_SWEEPS))
+def test_goal_sweep_point_matches_direct_build(sweep_run, tmp_path, sweep):
+    """``set_goal`` after warm-up == building with that goal.
+
+    Both sweep paths build a group's simulation with its *first* goals
+    and re-target each point through ``WarmDelta``; a non-first point
+    must equal a simulation constructed with that point's goals and no
+    delta, result and telemetry export alike.
+    """
+    direct_dir = str(tmp_path / "direct")
+    label, point = GOAL_SWEEPS[sweep][1](direct_dir)
+    for runner in ("fork", "cold"):
+        points, outdir = sweep_run(sweep, runner)
+        assert label in points and label != list(points)[0]
+        assert points[label] == point
+        assert _telemetry_tree(os.path.join(outdir, label)) == (
+            _telemetry_tree(direct_dir)
+        )
+
+
+def test_jobs_do_not_change_telemetry(sweep_run):
+    points_1, dir_1 = sweep_run("figure2", "cold", 1)
+    points_2, dir_2 = sweep_run("figure2", "cold", 2)
     assert points_1 == points_2
-    assert tree_1 == tree_2
+    assert _telemetry_tree(dir_1) == _telemetry_tree(dir_2)
 
 
 def test_event_pool_gauges_exported(tmp_path):

@@ -122,6 +122,33 @@ def test_sample_from_uniform_matches_sample():
 # -- dispatcher vs. sequential reference front-end ------------------
 
 
+def reference_arrivals(generator, node_id, class_spec):
+    """Sequential reference front-end for one (node, class) pair.
+
+    The oracle for the block-drawn dispatcher: one coroutine per
+    (node, class) drawing each inter-arrival gap and each operation's
+    pages straight from the named streams, in the draw order the
+    dispatcher must reproduce.  It re-reads the spec every iteration
+    so evolving workloads (changed arrival rates or page sets, §7.2)
+    take effect on running streams.
+    """
+    env = generator.cluster.env
+    rng = generator.cluster.rng
+    class_id = class_spec.class_id
+    arrival_stream = f"arrivals/n{node_id}/c{class_id}"
+    page_stream = f"pages/n{node_id}/c{class_id}"
+    while True:
+        spec = generator.spec.spec_for(class_id)
+        picker = generator._picker_for(spec)
+        delay = rng.exponential(arrival_stream, 1.0 / spec.rate_for(node_id))
+        yield env.timeout(delay)
+        pages = [
+            picker.pick(rng.stream(page_stream))
+            for _ in range(spec.pages_per_op)
+        ]
+        env.process(generator._operation(node_id, spec, pages))
+
+
 def _workload():
     return WorkloadSpec(classes=[
         ClassSpec(class_id=0, goal_ms=None, pages=tuple(range(0, 40)),
@@ -142,7 +169,7 @@ def _build(config, start_reference, block=DEFAULT_BLOCK):
         for class_spec in generator.spec.classes:
             for node_id in range(cluster.num_nodes):
                 cluster.env.process(
-                    generator._arrivals(node_id, class_spec)
+                    reference_arrivals(generator, node_id, class_spec)
                 )
     else:
         for node_id in range(cluster.num_nodes):
