@@ -1,28 +1,26 @@
-"""Substrate performance report: ``python benchmarks/perf_report.py``.
+"""Micro-benchmark report: ``python benchmarks/perf_report.py --family F``.
 
-Times the same workloads as :mod:`benchmarks.test_kernel_microbench`
-with a plain ``time.perf_counter`` harness (no pytest needed) plus a
-small fixed figure-2 run, and writes ``BENCH_substrate.json`` at the
-repository root.  ``--scaling`` instead runs the cluster-scaling bench
-(page-access cost vs. node count and database size, plus the heat
-bookkeeping memory footprint) and writes ``BENCH_scaling.json``.
-``--sweep`` times cold vs. fork-server goal sweeps (see
-:mod:`repro.experiments.forkserver`) and writes ``BENCH_sweep.json``;
-the recorded speedups are measured in the same run, so they need no
-cross-commit baseline constants.
+One table of bench cases, one measuring loop, one output file.  Each
+case is ``(family, name, layer, unit, run)``: ``run()`` returns one
+sample in ``unit``, and the loop calls it ``repeats`` times (a case
+may pin its own repeat count: deterministic probes such as tracemalloc
+bytes run once).  Cases that only mean something against a control —
+telemetry off/on, live streaming, an idle fault layer, a cold vs.
+forked sweep — are :class:`Pair` entries measured by :func:`paired`,
+which alternates the two sides and which side runs first, and adds a
+``ratio`` row of the per-pair ``b / a`` ratios.
 
-The ``BASELINE_SECONDS`` constants are the best-of-5 times of the same
-workloads measured on the pre-optimization substrate (commit
-``db4fa24``, CPython 3.11, single core) on the same machine that
-produced the committed report — they are the reference the recorded
-``speedup`` figures are relative to.  The ``SCALING_BASELINE``
-constants follow the same convention against the pre-change tree
-(commit ``37b700f``, before the vectorized arrival front-end and the
-fetch-chain access path), measured interleaved with the optimized
-tree — alternating subprocess runs, best over ~20 alternations spread
-across several minutes — so host-level noise windows hit both sides
-equally.  Re-run this script after kernel changes and compare against
-your own machine's committed numbers, not across machines.
+Every row has the same keys: ``name, family, layer, unit, median, q1,
+q3, min, repeats, target``.  ``target`` is set only on ratio rows the
+docs bound (at most ``1 + target``, judged on ``q3``).  The rows go
+into ``BENCH.json`` at the repository root inside one envelope
+``{commit, python, platform, rows}``; a run replaces the rows it
+measured and keeps every other row, so one family can be re-measured
+without re-running the rest.  Timings are machine-relative: compare a
+re-run only with rows recorded on the same machine.
+
+``--check-regression`` is the CI scaling gate: see
+:func:`check_scaling_regression`.
 """
 
 from __future__ import annotations
@@ -30,84 +28,45 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import subprocess
 import sys
 import time
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple, Optional
 
-sys.path.insert(
-    0, str(Path(__file__).resolve().parent.parent / "src")
-)
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from repro.cluster.cluster import Cluster  # noqa: E402
 from repro.cluster.config import SystemConfig  # noqa: E402
-from repro.experiments.reporting import emit  # noqa: E402
+from repro.experiments.calibration import GoalRange  # noqa: E402
+from repro.experiments.reporting import emit, format_table  # noqa: E402
+from repro.experiments.resilience import quick_config  # noqa: E402
 from repro.sim.engine import Environment  # noqa: E402
 from repro.sim.resources import Resource  # noqa: E402
+import repro.telemetry as telemetry  # noqa: E402
+from repro.telemetry import attach_cluster  # noqa: E402
 
-REPORT_PATH = Path(__file__).resolve().parent.parent / "BENCH_substrate.json"
-SCALING_REPORT_PATH = (
-    Path(__file__).resolve().parent.parent / "BENCH_scaling.json"
-)
-SWEEP_REPORT_PATH = (
-    Path(__file__).resolve().parent.parent / "BENCH_sweep.json"
-)
-TELEMETRY_REPORT_PATH = (
-    Path(__file__).resolve().parent.parent / "BENCH_telemetry.json"
-)
-FAULTS_REPORT_PATH = (
-    Path(__file__).resolve().parent.parent / "BENCH_faults.json"
-)
-ANALYTIC_REPORT_PATH = (
-    Path(__file__).resolve().parent.parent / "BENCH_analytic.json"
-)
-#: The acceptance bar for an attached-but-idle fault layer: at most
-#: this fraction of extra wall clock on either measured level.
-FAULTS_IDLE_TARGET = 0.02
+REPORT_PATH = ROOT / "BENCH.json"
 
-#: The acceptance bar for live streaming: an installed bus plus one
-#: draining subscriber may add at most this fraction of end-to-end
-#: wall clock over the same telemetry-enabled run without them.
-LIVE_STREAM_TARGET = 0.02
-
-#: Pre-change reference times (seconds, best of 5) for this machine.
-BASELINE_SECONDS = {
-    "event_throughput": 0.0300,   # 10k timeout events
-    "page_access_path": 0.2666,   # 2k data-shipping accesses
+#: The families, with their repeats when ``--repeats`` is not given:
+#: the sweep and analytic cases take seconds per sample, the rest
+#: milliseconds.
+DEFAULT_REPEATS = {
+    "substrate": 20, "scaling": 6, "sweep": 5, "telemetry": 20,
+    "faults": 20, "analytic": 5,
 }
+FAMILIES = tuple(DEFAULT_REPEATS)
 
-EVENT_COUNT = 10_000
-ACCESS_COUNT = 2_000
-
-#: Pre-columnar (commit ``93909c8``) scaling references for this
-#: machine: seconds (best of 6, interleaved with the optimized tree)
-#: for the access benches, peak tracemalloc bytes for the heat-memory
-#: probes.  Populated by the interleaved baseline session that
-#: accompanied the columnar-hot-state change; rows the old tree was
-#: never measured on are simply absent.
-SCALING_BASELINE = {
-    "hot_access_8_nodes": 0.2273,
-    "hot_access_16_nodes": 0.2382,
-    "hot_access_32_nodes": 0.2476,
-    "hot_access_64_nodes": 0.3149,
-    "hot_access_128_nodes": 0.3915,
-    "hot_access_256_nodes": 0.4632,
-    "hot_access_512_nodes": 0.5636,
-    "mixed_access_32n_2000_pages": 0.1973,
-    "mixed_access_32n_8000_pages": 0.2533,
-    "mixed_access_32n_32000_pages": 0.5592,
-    "mixed_access_32n_200000_pages": 0.4804,
-    "mixed_access_32n_1000000_pages": 0.4466,
-    "working_set_32n_8000_pages": 0.1854,
-    "working_set_32n_200000_pages": 0.3057,
-    "working_set_32n_1000000_pages": 0.2778,
-    "heat_memory_200k_pages": 47_915_868,
-    "heat_memory_1m_pages": 208_691_088,
-}
+#: The bound the docs state for an attached-but-idle fault layer and
+#: for live streaming: at most this fraction of extra wall clock.
+OVERHEAD_TARGET = 0.02
 
 #: CI regression gate: a quick-subset row may be at most this much
-#: slower (relative us_per_access) than the committed scaling report
-#: before ``--check-regression`` fails the run — after normalizing by
-#: the median measured/committed ratio across the compared rows, so a
+#: slower (relative us/access) than the committed report before
+#: ``--check-regression`` fails the run — after normalizing by the
+#: median measured/committed ratio across the compared rows, so a
 #: uniformly slower CI machine (or a noisy host window) cancels out
 #: and only *shape* changes fail: one workload regressing while the
 #: rest hold is exactly what the gate exists to catch.  25% because
@@ -117,8 +76,11 @@ SCALING_BASELINE = {
 #: gate was built against — clears 25% by an order of magnitude.
 REGRESSION_TOLERANCE = 0.25
 
-HOT_ACCESS_COUNT = 30_000   # hit-dominated accesses per hot bench run
-MIXED_ACCESS_COUNT = 20_000  # accesses per database-size bench run
+EVENT_COUNT = 10_000
+ACCESS_COUNT = 2_000         # accesses per substrate page-access run
+HOT_ACCESS_COUNT = 30_000    # hit-dominated accesses per hot run
+MIXED_ACCESS_COUNT = 20_000  # accesses per database-size run
+GRID = 1_000                 # goals in the analytic grid rows
 
 #: Node counts of the hot-access rows and database sizes of the mixed
 #: and fixed-working-set rows; the ``--quick`` CI subset keeps one
@@ -133,283 +95,237 @@ QUICK_WORKING_SET_TABLES = (8_000, 1_000_000)
 HEAT_PAGE_COUNTS = (200_000, 1_000_000)  # heat-memory probe sizes
 QUICK_HEAT_PAGE_COUNTS = (200_000,)
 
+#: Rows computed from two measured rows: ``(name, family, layer,
+#: numerator, denominator, factor)``, the ratio of the two rows' best
+#: (``min``) values times ``factor``.  The flatness ratios pin
+#: "roughly flat µs/access": the 1M- vs 8k-page fixed working set
+#: (same hit/miss mix, 125x the table) isolates data-structure
+#: scaling; 256 (and 512) vs 8 nodes bounds how much the whole
+#: substrate lets per-access cost grow with cluster size (not a pure
+#: data-structure probe: a fixed database turns the hit-dominated
+#: 8-node profile into an all-miss 4-hop-fetch one).  The prescreen
+#: speedup extrapolates the 12-point brute sweep to the full grid.
+DERIVED = (
+    ("working_set_flatness", "scaling", "cluster",
+     "working_set_32n_1000000_pages", "working_set_32n_8000_pages", 1.0),
+    ("hot_access_node_flatness", "scaling", "cluster",
+     "hot_access_256_nodes", "hot_access_8_nodes", 1.0),
+    ("hot_access_node_flatness_512n", "scaling", "cluster",
+     "hot_access_512_nodes", "hot_access_8_nodes", 1.0),
+    ("goal_sweep_prescreened_speedup", "analytic", "analytic",
+     "goal_sweep_brute_12", "goal_sweep_prescreened", GRID / 12),
+)
 
-def best_of(setup, run, repeats: int) -> float:
-    """Best wall-clock time of ``run(state)`` over fresh setups."""
-    best = float("inf")
-    for _ in range(repeats):
+
+class Case(NamedTuple):
+    """One bench row: ``run()`` returns one sample in ``unit``."""
+
+    family: str
+    name: str
+    layer: str
+    unit: str
+    run: Callable[[], float]
+    repeats: Optional[int] = None  # fixed count, e.g. 1 for probes
+
+
+class Pair(NamedTuple):
+    """Two cases measured by :func:`paired`; ``name`` is the ratio row."""
+
+    name: str
+    a: Case
+    b: Case
+    target: Optional[float] = None
+
+
+def summarize(case: Case, samples, target=None) -> dict:
+    """The row for ``case``: median, quartiles and min of ``samples``.
+
+    Quantiles interpolate linearly between order statistics, so one
+    sample gives four equal statistics.
+    """
+    s = sorted(samples)
+
+    def quantile(p):
+        k = (len(s) - 1) * p
+        lo = int(k)
+        hi = min(lo + 1, len(s) - 1)
+        return s[lo] + (s[hi] - s[lo]) * (k - lo)
+
+    stats = {"median": quantile(0.5), "q1": quantile(0.25),
+             "q3": quantile(0.75), "min": s[0]}
+    return {
+        "name": case.name, "family": case.family, "layer": case.layer,
+        "unit": case.unit,
+        **{key: round(value, 6) for key, value in stats.items()},
+        "repeats": len(s), "target": target,
+    }
+
+
+def paired(a: Case, b: Case, repeats: int, name: str, target=None):
+    """Rows for ``a``, ``b`` and their ``name`` ratio row.
+
+    The sides alternate within each pair, and which side runs first
+    alternates between pairs, so drifts (thermal, cache, scheduler)
+    land on both sides alike; the ratio row summarizes the per-pair
+    ``b / a`` ratios rather than a ratio of two summaries.
+    """
+    sa, sb = [], []
+    for i in range(repeats):
+        if i % 2:
+            sb.append(b.run())
+            sa.append(a.run())
+        else:
+            sa.append(a.run())
+            sb.append(b.run())
+    ratios = [y / x for x, y in zip(sa, sb)]
+    ratio = Case(a.family, name, b.layer, "ratio", None)
+    return [summarize(a, sa), summarize(b, sb),
+            summarize(ratio, ratios, target)]
+
+
+def measure(table, families, repeats: Optional[int] = None) -> list:
+    """Rows of every ``table`` entry in ``families``, then derived rows."""
+    rows = []
+    for item in table:
+        family = item.a.family if isinstance(item, Pair) else item.family
+        if family not in families:
+            continue
+        n = repeats or DEFAULT_REPEATS[family]
+        if isinstance(item, Pair):
+            rows += paired(item.a, item.b, n, item.name, item.target)
+        else:
+            n = item.repeats or n
+            rows.append(summarize(item, [item.run() for _ in range(n)]))
+    best = {row["name"]: row["min"] for row in rows}
+    for name, family, layer, num, den, factor in DERIVED:
+        if num in best and den in best:
+            rows.append(summarize(
+                Case(family, name, layer, "ratio", None),
+                [best[num] / best[den] * factor],
+            ))
+    return rows
+
+
+def merged(prior: list, rows: list) -> list:
+    """``prior`` rows with each row of ``rows`` replacing its namesake."""
+    by_name = {row["name"]: row for row in prior}
+    by_name.update((row["name"], row) for row in rows)
+    return list(by_name.values())
+
+
+def timed(setup, body, per: int = 1, scale: float = 1.0):
+    """A ``run`` timing ``body(setup())``, setup untimed.
+
+    Returns seconds per ``per`` operations, times ``scale`` (1e6 for
+    µs units).
+    """
+
+    def run():
         state = setup()
         start = time.perf_counter()
-        run(state)
-        elapsed = time.perf_counter() - start
-        best = min(best, elapsed)
-    return best
+        body(state)
+        return (time.perf_counter() - start) / per * scale
+
+    return run
 
 
-def bench_event_throughput(repeats: int) -> float:
-    """Schedule-and-dispatch cost of 10k timeout events."""
+def event_loop(_=None) -> None:
+    """Schedule and dispatch 10k timeout events."""
+    env = Environment()
 
-    def run(_):
-        env = Environment()
+    def proc():
+        for _ in range(EVENT_COUNT):
+            yield env.timeout(1.0)
 
-        def proc():
-            for _ in range(EVENT_COUNT):
-                yield env.timeout(1.0)
+    env.process(proc())
+    env.run()
+    assert env.now == float(EVENT_COUNT)
 
+
+def resource_cycles(_=None) -> None:
+    """2k acquire/release cycles through a contended FCFS resource."""
+    env = Environment()
+    resource = Resource(env, capacity=2)
+
+    def proc():
+        for _ in range(500):
+            with resource.request() as req:
+                yield req
+                yield env.timeout(0.1)
+
+    for _ in range(4):
         env.process(proc())
-        env.run()
-        assert env.now == float(EVENT_COUNT)
-
-    return best_of(lambda: None, run, repeats)
+    env.run()
 
 
-def bench_resource_throughput(repeats: int) -> float:
-    """Acquire/release cycles through a contended FCFS resource."""
+def access_workload(num_nodes, num_pages, page, count, attach=None):
+    """``(setup, body)`` for ``count`` one-page ``access_run`` calls.
 
-    def run(_):
-        env = Environment()
-        resource = Resource(env, capacity=2)
-
-        def proc():
-            for _ in range(500):
-                with resource.request() as req:
-                    yield req
-                    yield env.timeout(0.1)
-
-        for _ in range(4):
-            env.process(proc())
-        env.run()
-
-    return best_of(lambda: None, run, repeats)
-
-
-def bench_page_access_path(repeats: int) -> float:
-    """End-to-end cost of the data-shipping access path (mixed hits).
-
-    A fresh cold cluster per repeat so every measurement sees the same
-    hit/miss mix as the pytest microbenchmark's single round.
-    ``Cluster.access_page`` runs on the fetch chain (it is a one-page
-    ``access_run``), so this times the chain path; rows recorded before
-    the generator access path was removed timed that generator.
+    Access ``i`` runs at node ``i % num_nodes`` on page ``page(i)``,
+    class 0, on a fresh cold cluster (default 2 MB buffers), so every
+    sample sees the same hit/miss mix.  The access plan is built in
+    setup; ``attach(cluster)`` wires telemetry or a fault layer.
     """
 
     def setup():
-        return Cluster(SystemConfig(num_pages=500), seed=0)
+        cluster = Cluster(
+            SystemConfig(num_nodes=num_nodes, num_pages=num_pages), seed=0
+        )
+        if attach is not None:
+            attach(cluster)
+        plan = [(i % num_nodes, (page(i),)) for i in range(count)]
+        return cluster, plan
 
-    def run(cluster):
+    def body(state):
+        cluster, plan = state
+        access_run = cluster.access_run
+
         def proc():
-            for i in range(ACCESS_COUNT):
-                yield from cluster.access_page(
-                    i % 3, (i * 7) % 500, class_id=0
-                )
+            for node, pages in plan:
+                yield from access_run(node, pages, 0)
 
         cluster.env.process(proc())
         cluster.env.run()
 
-    return best_of(setup, run, repeats)
+    return setup, body
 
 
-def bench_page_access_path_faults_idle(repeats: int) -> float:
-    """The access path with an idle fault layer attached.
+def substrate_access(attach=None):
+    """µs per access of the substrate mix: 3 nodes, 500 pages, 2k
+    accesses."""
+    workload = access_workload(3, 500, lambda i: (i * 7) % 500,
+                               ACCESS_COUNT, attach)
+    return timed(*workload, ACCESS_COUNT, 1e6)
 
-    An attached layer with an empty schedule adds only attribute
-    checks to the hot paths (no RNG draws, no extra processes); this
-    number pins that cost next to the plain ``page_access_path``.
-    ``Cluster.access_page`` runs on the fetch chain (it is a one-page
-    ``access_run``), so this times the chain path; rows recorded before
-    the generator access path was removed timed that generator.
-    """
+
+def idle_faults(cluster) -> None:
+    """Attach a fault layer with an empty schedule (never fires)."""
     from repro.faults import FaultInjector, FaultSchedule
 
-    def setup():
-        cluster = Cluster(SystemConfig(num_pages=500), seed=0)
-        FaultInjector(cluster, FaultSchedule([])).start()
-        return cluster
-
-    def run(cluster):
-        def proc():
-            for i in range(ACCESS_COUNT):
-                yield from cluster.access_page(
-                    i % 3, (i * 7) % 500, class_id=0
-                )
-
-        cluster.env.process(proc())
-        cluster.env.run()
-
-    return best_of(setup, run, repeats)
+    FaultInjector(cluster, FaultSchedule([])).start()
 
 
-def bench_figure2_wallclock() -> float:
-    """One short fixed figure-2 run (controller + workload end to end)."""
-    from repro.cluster.config import NodeParameters
-    from repro.experiments.calibration import GoalRange
-    from repro.experiments.figure2 import run_figure2
+def traced_peak(setup, body) -> int:
+    """Peak tracemalloc bytes of one fresh ``body(setup())``.
 
-    config = SystemConfig(
-        num_nodes=3,
-        num_pages=400,
-        node=NodeParameters(buffer_bytes=256 * 1024),
-        observation_interval_ms=2_000.0,
-    )
-    goal_range = GoalRange(class_id=1, goal_min_ms=2.0, goal_max_ms=8.0)
-    start = time.perf_counter()
-    run_figure2(
-        config=config,
-        goal_range=goal_range,
-        seed=42,
-        intervals=4,
-        warmup_ms=4_000.0,
-    )
-    return time.perf_counter() - start
-
-
-def _hot_access_workload(num_nodes: int):
-    """Setup/run pair for the hit-dominated hot-access bench."""
-    from repro.cluster.config import NodeParameters
-
-    pages = 4_000
-    n = HOT_ACCESS_COUNT
-
-    def setup():
-        return Cluster(
-            SystemConfig(
-                num_nodes=num_nodes,
-                num_pages=pages,
-                node=NodeParameters(buffer_bytes=2 * 1024 * 1024),
-            ),
-            seed=0,
-        )
-
-    def run(cluster):
-        access_run = cluster.access_run
-
-        def proc():
-            for i in range(n):
-                node = i % num_nodes
-                yield from access_run(
-                    node, ((node * 117 + i * 13) % pages,), 0
-                )
-
-        cluster.env.process(proc())
-        cluster.env.run()
-
-    return setup, run
-
-
-def bench_hot_access(num_nodes: int, repeats: int) -> float:
-    """Hit-dominated page accesses on a ``num_nodes``-node cluster.
-
-    2 MB buffers over a 4000-page database keep most accesses local
-    once warm, so this isolates the per-access bookkeeping (heat,
-    benefit repricing, directory) from disk and network service times.
-    """
-    setup, run = _hot_access_workload(num_nodes)
-    return best_of(setup, run, repeats)
-
-
-def _mixed_access_workload(num_pages: int):
-    """Setup/run pair for the growing-database mixed bench."""
-    n = MIXED_ACCESS_COUNT
-    nodes = 32
-
-    def setup():
-        return Cluster(
-            SystemConfig(num_nodes=nodes, num_pages=num_pages), seed=0
-        )
-
-    def run(cluster):
-        access_run = cluster.access_run
-
-        def proc():
-            for i in range(n):
-                yield from access_run(
-                    i % nodes, ((i * 7) % num_pages,), 0
-                )
-
-        cluster.env.process(proc())
-        cluster.env.run()
-
-    return setup, run
-
-
-def bench_mixed_access(num_pages: int, repeats: int) -> float:
-    """Default-size buffers over a ``num_pages``-page database (32 nodes).
-
-    Grows the database at fixed cache size, so the miss rate — and
-    with it eviction/repricing and directory churn — rises with
-    ``num_pages``; past the point where every access misses (32k pages
-    and up) the curve isolates how access cost scales with the *size*
-    of the hot-state structures.
-    """
-    setup, run = _mixed_access_workload(num_pages)
-    return best_of(setup, run, repeats)
-
-
-def _working_set_workload(num_pages: int):
-    """Setup/run pair for the fixed-working-set sweep.
-
-    Always touches :data:`WORKING_SET_PAGES` distinct pages — strided
-    across the id space so they hit every region of the columns — while
-    the *database* (and with it the directory, heat, and pool keyspace)
-    grows to ``num_pages``.  Hit/miss mix is therefore identical in
-    every row, and any µs/access growth measures pure data-structure
-    scaling: the property the columnar layout is meant to flatten.
-    """
-    n = MIXED_ACCESS_COUNT
-    nodes = 32
-    stride = num_pages // WORKING_SET_PAGES
-
-    def setup():
-        return Cluster(
-            SystemConfig(num_nodes=nodes, num_pages=num_pages), seed=0
-        )
-
-    def run(cluster):
-        access_run = cluster.access_run
-
-        def proc():
-            for i in range(n):
-                yield from access_run(
-                    i % nodes,
-                    (((i * 7) % WORKING_SET_PAGES) * stride,),
-                    0,
-                )
-
-        cluster.env.process(proc())
-        cluster.env.run()
-
-    return setup, run
-
-
-def bench_working_set(num_pages: int, repeats: int) -> float:
-    """Fixed 8k-page working set over a ``num_pages``-page database."""
-    setup, run = _working_set_workload(num_pages)
-    return best_of(setup, run, repeats)
-
-
-def traced_peak(setup, run) -> int:
-    """Peak tracemalloc bytes of one fresh ``run(setup())``.
-
-    Runs *after* the timing repeats (tracemalloc instruments every
-    allocation, roughly doubling runtime), so the timed numbers stay
-    clean while each row still reports its memory high-water mark.
+    A separate run from the timed samples: tracemalloc instruments
+    every allocation, roughly doubling runtime.
     """
     import tracemalloc
 
     state = setup()
     tracemalloc.start()
-    run(state)
+    body(state)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     return peak
 
 
-def bench_heat_memory(page_count: int) -> int:
+def heat_memory(page_count: int) -> int:
     """Peak bytes to heat-track ``page_count`` pages (two accesses, k=2).
 
     One local tracker plus the global registry, the per-node pairing
-    every big-database simulation carries.  Deterministic, so no
-    repeats: allocation sizes do not vary between runs.
+    every big-database simulation carries.
     """
     import tracemalloc
 
@@ -428,104 +344,221 @@ def bench_heat_memory(page_count: int) -> int:
     return peak
 
 
-def build_scaling_report(repeats: int, quick: bool = False) -> dict:
-    benchmarks = {}
+#: The class-1 goal range of every end-to-end case, which all run the
+#: quick system (3 nodes, 400 pages, 256 KB buffers, 2 s intervals).
+GOAL_RANGE = GoalRange(class_id=1, goal_min_ms=2.0, goal_max_ms=8.0)
 
-    def record(name, workload, accesses):
-        setup, run = workload
-        seconds = best_of(setup, run, repeats)
-        entry = {
-            "seconds": round(seconds, 6),
-            "us_per_access": round(seconds / accesses * 1e6, 2),
-            "tracemalloc_peak_bytes": traced_peak(setup, run),
-        }
-        baseline = SCALING_BASELINE.get(name)
-        if baseline is not None:
-            entry["baseline_seconds"] = baseline
-            entry["speedup"] = round(baseline / seconds, 2)
-        benchmarks[name] = entry
 
-    hot_nodes = QUICK_HOT_NODE_COUNTS if quick else HOT_NODE_COUNTS
-    mixed_pages = (
-        QUICK_MIXED_PAGE_COUNTS if quick else MIXED_PAGE_COUNTS
-    )
-    tables = (
-        QUICK_WORKING_SET_TABLES if quick else WORKING_SET_TABLES
-    )
-    heat_pages = QUICK_HEAT_PAGE_COUNTS if quick else HEAT_PAGE_COUNTS
+def figure2_short() -> float:
+    """Seconds of one short figure-2 run (4 intervals)."""
+    from repro.experiments.figure2 import run_figure2
 
-    for nodes in hot_nodes:
-        record(
-            f"hot_access_{nodes}_nodes",
-            _hot_access_workload(nodes),
-            HOT_ACCESS_COUNT,
+    start = time.perf_counter()
+    run_figure2(config=quick_config(), goal_range=GOAL_RANGE, seed=42,
+                intervals=4, warmup_ms=4_000.0)
+    return time.perf_counter() - start
+
+
+def goal_sweep(points=8, runner="fork", prescreen=None) -> float:
+    """Seconds of one figure-2 goal sweep at ``jobs=1``.
+
+    A short measured horizon against a long warm-up (4 intervals of
+    2 s vs. 20 s), the regime the fork server targets: cold pays
+    ``points`` warm-ups, fork pays one.  ``jobs=1`` isolates warm-up
+    amortization from multi-core speedup.  ``prescreen`` replaces the
+    ``points`` grid with a screened one of that size.
+    """
+    from repro.experiments.figure2 import run_goal_sweep
+
+    start = time.perf_counter()
+    sweep = run_goal_sweep(points=points, seed=42, intervals=4,
+                           config=quick_config(), goal_range=GOAL_RANGE,
+                           warmup_ms=20_000.0, jobs=1, runner=runner,
+                           prescreen=prescreen)
+    elapsed = time.perf_counter() - start
+    assert sweep.runner == runner
+    assert prescreen or len(sweep.points) == points
+    return elapsed
+
+
+def with_telemetry(run):
+    """``run`` with the module-level telemetry switch on.
+
+    The switch arms the full pipeline (metrics + trace, no file
+    exports) on every cluster and simulation built while it is on.
+    """
+
+    def on():
+        telemetry.enable()
+        try:
+            return run()
+        finally:
+            telemetry.disable()
+
+    return on
+
+
+def figure2_live() -> float:
+    """A telemetry-enabled short figure-2 run, live-streamed.
+
+    Reproduces what ``--live-port`` arms: a ``TelemetryBus`` installed
+    via the module hook (so the run wires a snapshot sampler) plus a
+    thread draining its subscription, the way the HTTP service pumps
+    a connected dashboard.  Only the run itself is timed.
+    """
+    import threading
+
+    from repro.telemetry import live
+    from repro.telemetry.live import TelemetryBus
+
+    bus = TelemetryBus()
+    live.install(bus)
+    sub = bus.subscribe()
+    stop = threading.Event()
+
+    def drain():
+        while not stop.is_set():
+            if sub.get(timeout=0.05) is None and sub.closed:
+                return
+
+    drainer = threading.Thread(target=drain, daemon=True)
+    drainer.start()
+    try:
+        return with_telemetry(figure2_short)()
+    finally:
+        live.uninstall()
+        stop.set()
+        bus.close()
+        drainer.join(timeout=2.0)
+
+
+def control_loop(faults: bool, intervals: int = 12):
+    """``(setup, body)`` of a short feedback-loop run.
+
+    With ``faults`` an injector with an empty schedule is
+    attached: the controller polls the control-plane fault state every
+    interval (always-zero fields, no RNG) and every hot path pays its
+    fault-layer attribute check.
+    """
+    from repro.experiments.runner import Simulation, default_workload
+    from repro.faults import FaultSchedule
+
+    def setup():
+        config = quick_config()
+        return Simulation(
+            config=config, workload=default_workload(config, goal_ms=6.0),
+            seed=0, warmup_ms=4000.0,
+            faults=FaultSchedule([]) if faults else None,
         )
-    for pages in mixed_pages:
-        record(
-            f"mixed_access_32n_{pages}_pages",
-            _mixed_access_workload(pages),
-            MIXED_ACCESS_COUNT,
-        )
-    for pages in tables:
-        record(
-            f"working_set_32n_{pages}_pages",
-            _working_set_workload(pages),
-            MIXED_ACCESS_COUNT,
-        )
 
-    # Flatness headline: the 1M-page fixed-working-set row against the
-    # 8k one (same hit/miss mix, 125x the table), the quantitative pin
-    # behind "roughly flat µs/access from 8k to 1M pages".
-    small = benchmarks.get("working_set_32n_8000_pages")
-    large = benchmarks.get("working_set_32n_1000000_pages")
-    if small and large:
-        benchmarks["working_set_flatness"] = {
-            "ratio_1m_vs_8k": round(
-                large["seconds"] / small["seconds"], 3
-            ),
-        }
+    return setup, lambda sim: sim.run(intervals=intervals)
 
-    # Node-count flatness: per-access cost at 256 (and 512) nodes
-    # against 8.  Not a pure data-structure probe like the working-set
-    # ratio — growing the cluster at a fixed database turns the
-    # hit-dominated 8-node profile into an all-miss, 4-hop-fetch
-    # profile, so events per access rise structurally — but that is
-    # exactly why it is the scaling headline: it bounds how much the
-    # whole substrate (front-end, fetch chains, event recycling) lets
-    # per-access cost grow with cluster size.
-    small = benchmarks.get("hot_access_8_nodes")
-    large = benchmarks.get("hot_access_256_nodes")
-    if small and large:
-        entry = {
-            "node_flatness": round(
-                large["us_per_access"] / small["us_per_access"], 3
-            ),
-        }
-        huge = benchmarks.get("hot_access_512_nodes")
-        if huge:
-            entry["ratio_512n_vs_8n"] = round(
-                huge["us_per_access"] / small["us_per_access"], 3
-            )
-        benchmarks["hot_access_node_flatness"] = entry
 
-    for pages in heat_pages:
-        label = "200k" if pages == 200_000 else "1m"
-        name = f"heat_memory_{label}_pages"
-        peak = bench_heat_memory(pages)
-        entry = {"peak_bytes": peak}
-        baseline_peak = SCALING_BASELINE.get(name)
-        if baseline_peak is not None:
-            entry["baseline_peak_bytes"] = baseline_peak
-            entry["reduction"] = round(1.0 - peak / baseline_peak, 3)
-        benchmarks[name] = entry
+def analytic_grid(config):
+    """``(setup, body)``: MVA-classify a :data:`GRID`-goal grid."""
+    from repro.analytic.frontier import prescreen_goals
+    from repro.experiments.figure2 import sweep_goals
+    from repro.experiments.runner import default_workload
 
-    return {
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "repeats": repeats,
-        "quick": quick,
-        "benchmarks": benchmarks,
-    }
+    def setup():
+        return default_workload(config), sweep_goals(GOAL_RANGE, GRID)
+
+    def body(state):
+        report = prescreen_goals(config, *state)
+        assert report.grid_size == GRID
+
+    return setup, body
+
+
+def bench_table(quick: bool = False) -> list:
+    """Every bench case of every family, in report order."""
+    events = timed(lambda: None, event_loop, EVENT_COUNT, 1e6)
+    table = [
+        Case("substrate", "event_throughput", "sim", "us/event", events),
+        Case("substrate", "resource_throughput", "sim", "us/request",
+             timed(lambda: None, resource_cycles, 2_000, 1e6)),
+        Case("substrate", "page_access_path", "cluster", "us/access",
+             substrate_access()),
+        Case("substrate", "page_access_path_faults_idle", "faults",
+             "us/access", substrate_access(idle_faults)),
+        Case("substrate", "figure2_short_run", "experiments", "s",
+             figure2_short),
+    ]
+
+    def scaling(name, nodes, pages, page, count):
+        workload = access_workload(nodes, pages, page, count)
+        table.append(Case("scaling", name, "cluster", "us/access",
+                          timed(*workload, count, 1e6)))
+        table.append(Case("scaling", f"{name}_peak_bytes", "cluster",
+                          "bytes", partial(traced_peak, *workload), 1))
+
+    for n in QUICK_HOT_NODE_COUNTS if quick else HOT_NODE_COUNTS:
+        # 2 MB buffers over 4000 pages keep most accesses local once
+        # warm: per-access bookkeeping without disk/network service.
+        scaling(f"hot_access_{n}_nodes", n, 4_000,
+                lambda i, n=n: ((i % n) * 117 + i * 13) % 4_000,
+                HOT_ACCESS_COUNT)
+    for p in QUICK_MIXED_PAGE_COUNTS if quick else MIXED_PAGE_COUNTS:
+        # A growing database at fixed cache: the miss rate (eviction,
+        # repricing, directory churn) rises with the page count.
+        scaling(f"mixed_access_32n_{p}_pages", 32, p,
+                lambda i, p=p: (i * 7) % p, MIXED_ACCESS_COUNT)
+    for p in QUICK_WORKING_SET_TABLES if quick else WORKING_SET_TABLES:
+        # The same 8k pages, strided across a growing id space: an
+        # identical hit/miss mix per row, so growth is pure
+        # data-structure scaling.
+        scaling(f"working_set_32n_{p}_pages", 32, p,
+                lambda i, s=p // WORKING_SET_PAGES:
+                ((i * 7) % WORKING_SET_PAGES) * s, MIXED_ACCESS_COUNT)
+    for p in QUICK_HEAT_PAGE_COUNTS if quick else HEAT_PAGE_COUNTS:
+        label = "200k" if p == 200_000 else "1m"
+        table.append(Case("scaling", f"heat_memory_{label}_pages",
+                          "bufmgr", "bytes", partial(heat_memory, p), 1))
+
+    def pair(family, layer, unit, ratio, a, run_a, b, run_b, target=None):
+        table.append(Pair(ratio, Case(family, a, layer, unit, run_a),
+                          Case(family, b, layer, unit, run_b), target))
+
+    for k in (4, 12):
+        pair("sweep", "experiments", "s", f"goal_sweep_{k}_points",
+             f"goal_sweep_{k}_points_fork", partial(goal_sweep, k, "fork"),
+             f"goal_sweep_{k}_points_cold", partial(goal_sweep, k, "cold"))
+    pair("telemetry", "telemetry", "us/event",
+         "event_throughput_telemetry_ratio",
+         "event_throughput_disabled", events,
+         "event_throughput_enabled", with_telemetry(events))
+    pair("telemetry", "telemetry", "us/access", "page_access_telemetry_ratio",
+         "page_access_telemetry_off", substrate_access(),
+         "page_access_telemetry_on", substrate_access(attach_cluster))
+    pair("telemetry", "telemetry", "s", "figure2_short_telemetry_ratio",
+         "figure2_short_off", figure2_short,
+         "figure2_short_on", with_telemetry(figure2_short))
+    pair("telemetry", "telemetry", "s", "figure2_live_streaming_ratio",
+         "figure2_live_baseline", with_telemetry(figure2_short),
+         "figure2_live_streaming", figure2_live, OVERHEAD_TARGET)
+    pair("faults", "faults", "us/access", "page_access_faults_idle_ratio",
+         "page_access_no_faults", substrate_access(),
+         "page_access_faults_idle", substrate_access(idle_faults),
+         OVERHEAD_TARGET)
+    pair("faults", "faults", "s", "control_loop_faults_idle_ratio",
+         "control_loop_no_faults", timed(*control_loop(False)),
+         "control_loop_faults_idle", timed(*control_loop(True)),
+         OVERHEAD_TARGET)
+
+    for label, config in (("quick_3n_400p", quick_config()),
+                          ("default_3n_2000p", SystemConfig())):
+        table.append(Case("analytic", f"grid_{GRID}_{label}", "analytic",
+                          "ms/point",
+                          timed(*analytic_grid(config), GRID, 1e3)))
+    table.append(Case("analytic", "goal_sweep_brute_12", "experiments",
+                      "s", partial(goal_sweep, 12)))
+    table.append(Case("analytic", "goal_sweep_prescreened", "analytic",
+                      "s", partial(goal_sweep, prescreen=GRID)))
+    return table
+
+
+def _gated(row: dict) -> bool:
+    return row.get("family") == "scaling" and row.get("unit") == "us/access"
 
 
 def check_scaling_regression(
@@ -533,14 +566,14 @@ def check_scaling_regression(
     committed: dict,
     tolerance: float = REGRESSION_TOLERANCE,
 ) -> list:
-    """Compare a scaling report against the committed one.
+    """Compare freshly measured scaling rows against the committed ones.
 
-    Returns ``(name, committed_us, measured_us)`` triples for every
-    row whose ``us_per_access`` regressed by more than ``tolerance``
-    relative to the ``committed`` report (a parsed
-    ``BENCH_scaling.json``).  Rows absent from either side are
-    skipped, so the quick CI subset gates only the rows it actually
-    ran.
+    ``report`` and ``committed`` are ``{"rows": [...]}`` envelopes (the
+    latter a parsed ``BENCH.json``).  Returns ``(name, committed_us,
+    measured_us)`` triples, on each row's best-of ``min`` µs/access,
+    for every scaling row that regressed by more than ``tolerance``.
+    Rows absent from either side, and rows in other units, are
+    skipped, so the quick CI subset gates only the rows it ran.
 
     The comparison is *shape-based*: with three or more comparable
     rows, every measured value is first normalized by the median
@@ -552,14 +585,14 @@ def check_scaling_regression(
     than three comparable rows there is no meaningful median, so the
     comparison falls back to absolute values.
     """
-    committed = committed["benchmarks"]
-    rows = []
-    for name, entry in report["benchmarks"].items():
-        measured = entry.get("us_per_access")
-        reference = committed.get(name, {}).get("us_per_access")
-        if measured is None or reference is None:
-            continue
-        rows.append((name, reference, measured))
+    reference = {
+        row["name"]: row["min"] for row in committed["rows"] if _gated(row)
+    }
+    rows = [
+        (row["name"], reference[row["name"]], row["min"])
+        for row in report["rows"]
+        if _gated(row) and row["name"] in reference
+    ]
     calibration = 1.0
     if len(rows) >= 3:
         ratios = sorted(m / r for _, r, m in rows)
@@ -568,597 +601,84 @@ def check_scaling_regression(
             ratios[mid] if len(ratios) % 2
             else (ratios[mid - 1] + ratios[mid]) / 2.0
         )
-    failures = []
-    for name, reference, measured in rows:
-        if measured > reference * calibration * (1.0 + tolerance):
-            failures.append((name, reference, measured))
-    return failures
+    return [
+        (name, reference, measured)
+        for name, reference, measured in rows
+        if measured > reference * calibration * (1.0 + tolerance)
+    ]
 
 
-def bench_goal_sweep(points: int, runner: str) -> float:
-    """Wall-clock of one figure-2 goal sweep at ``jobs=1``.
-
-    Short measured horizon against a long warm-up (4 intervals of 2 s
-    vs. 20 s), the regime the warm-state fork server targets: cold pays
-    ``points`` warm-ups, fork pays one per replicate.  ``jobs=1`` so
-    the comparison isolates warm-up amortization from multi-core
-    speedup — the two compose.
-    """
-    from repro.cluster.config import NodeParameters
-    from repro.experiments.calibration import GoalRange
-    from repro.experiments.figure2 import run_goal_sweep
-
-    config = SystemConfig(
-        num_nodes=3,
-        num_pages=400,
-        node=NodeParameters(buffer_bytes=256 * 1024),
-        observation_interval_ms=2_000.0,
-    )
-    goal_range = GoalRange(class_id=1, goal_min_ms=2.0, goal_max_ms=8.0)
-    start = time.perf_counter()
-    sweep = run_goal_sweep(
-        points=points,
-        seed=42,
-        intervals=4,
-        config=config,
-        goal_range=goal_range,
-        warmup_ms=20_000.0,
-        jobs=1,
-        runner=runner,
-    )
-    elapsed = time.perf_counter() - start
-    assert sweep.runner == runner and len(sweep.points) == points
-    return elapsed
-
-
-def build_sweep_report() -> dict:
-    """Cold vs. forked wall-clock for figure-2 goal sweeps."""
-    benchmarks = {}
-    for points in (4, 12):
-        cold = bench_goal_sweep(points, "cold")
-        forked = bench_goal_sweep(points, "fork")
-        benchmarks[f"goal_sweep_{points}_points"] = {
-            "points": points,
-            "cold_seconds": round(cold, 6),
-            "fork_seconds": round(forked, 6),
-            "speedup": round(cold / forked, 2),
-        }
-    return {
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "jobs": 1,
-        "benchmarks": benchmarks,
-    }
-
-
-def _sweep_bench_config():
-    """The quick sweep-bench system shared by --sweep and --analytic."""
-    from repro.cluster.config import NodeParameters
-    from repro.experiments.calibration import GoalRange
-
-    config = SystemConfig(
-        num_nodes=3,
-        num_pages=400,
-        node=NodeParameters(buffer_bytes=256 * 1024),
-        observation_interval_ms=2_000.0,
-    )
-    goal_range = GoalRange(class_id=1, goal_min_ms=2.0, goal_max_ms=8.0)
-    return config, goal_range
-
-
-def build_analytic_report(grid: int = 1_000) -> dict:
-    """Analytic fast-path cost: grid solves + prescreened-sweep speedup.
-
-    Three layers of numbers:
-
-    - ``grid_*``: wall clock of classifying a ``grid``-point goal grid
-      with the MVA solver alone (the quick sweep-bench system and the
-      paper's default system) — the ms-per-analytic-point headline.
-    - ``goal_sweep_brute_12``: a 12-point unscreened forked sweep,
-      measured; its per-point rate extrapolates to the
-      ``grid``-point brute-force cost (clearly labelled — nobody runs
-      a 1000-point brute sweep to benchmark it).
-    - ``goal_sweep_prescreened``: the same sweep with
-      ``prescreen=grid``, measured end to end: dense analytic grid,
-      frontier extraction, simulation of only the selected points.
-    """
-    from repro.analytic.frontier import prescreen_goals
-    from repro.experiments.figure2 import run_goal_sweep, sweep_goals
-    from repro.experiments.runner import default_workload
-
-    benchmarks = {}
-    quick_config, goal_range = _sweep_bench_config()
-    goals = sweep_goals(goal_range, grid)
-
-    for name, config in (
-        ("quick_3n_400p", quick_config),
-        ("default_3n_2000p", SystemConfig()),
-    ):
-        workload = default_workload(config)
-        start = time.perf_counter()
-        report = prescreen_goals(config, workload, goals)
-        elapsed = time.perf_counter() - start
-        benchmarks[f"grid_{grid}_{name}"] = {
-            "grid": report.grid_size,
-            "frontier": report.frontier_size,
-            "mva_solves": report.solves,
-            "seconds": round(elapsed, 6),
-            "ms_per_analytic_point": round(
-                elapsed * 1000.0 / report.grid_size, 4
-            ),
-            "regimes": report.regime_counts(),
-        }
-
-    brute_points = 12
-    start = time.perf_counter()
-    brute = run_goal_sweep(
-        points=brute_points, seed=42, intervals=4, config=quick_config,
-        goal_range=goal_range, warmup_ms=20_000.0, jobs=1, runner="fork",
-    )
-    brute_seconds = time.perf_counter() - start
-    assert len(brute.points) == brute_points
-
-    start = time.perf_counter()
-    screened = run_goal_sweep(
-        seed=42, intervals=4, config=quick_config,
-        goal_range=goal_range, warmup_ms=20_000.0, jobs=1,
-        runner="fork", prescreen=grid,
-    )
-    screened_seconds = time.perf_counter() - start
-    simulated = len(screened.points)
-
-    extrapolated = brute_seconds / brute_points * grid
-    benchmarks["goal_sweep_brute_12"] = {
-        "points": brute_points,
-        "seconds": round(brute_seconds, 6),
-        f"extrapolated_{grid}_point_seconds": round(extrapolated, 3),
-    }
-    benchmarks["goal_sweep_prescreened"] = {
-        "grid": grid,
-        "simulated_points": simulated,
-        "simulated_fraction": round(simulated / grid, 4),
-        "analytic_seconds": round(
-            screened.prescreen.solver_ms / 1000.0, 6
-        ),
-        "seconds": round(screened_seconds, 6),
-        "speedup_vs_extrapolated_brute": round(
-            extrapolated / screened_seconds, 2
-        ),
-    }
-    return {
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "jobs": 1,
-        "benchmarks": benchmarks,
-    }
-
-
-def bench_page_access_telemetry(attached: bool, repeats: int) -> float:
-    """The data-shipping access path with telemetry off or attached.
-
-    ``attached=False`` measures the disabled cost: the hot paths pay
-    one ``None`` attribute check per access, nothing else.
-    ``attached=True`` wires a full metrics/trace pipeline to the
-    cluster, so every access records a counter and a latency
-    histogram sample.
-    ``Cluster.access_page`` runs on the fetch chain (it is a one-page
-    ``access_run``), so this times the chain path; rows recorded before
-    the generator access path was removed timed that generator.
-    """
-
-    def setup():
-        cluster = Cluster(SystemConfig(num_pages=500), seed=0)
-        if attached:
-            from repro.telemetry import attach_cluster
-
-            attach_cluster(cluster)
-        return cluster
-
-    def run(cluster):
-        def proc():
-            for i in range(ACCESS_COUNT):
-                yield from cluster.access_page(
-                    i % 3, (i * 7) % 500, class_id=0
-                )
-
-        cluster.env.process(proc())
-        cluster.env.run()
-
-    return best_of(setup, run, repeats)
-
-
-def bench_figure2_telemetry(enabled: bool) -> float:
-    """Best-of-3 wall clock of the short figure-2 run, on or off.
-
-    With ``enabled`` the module-level flag arms the full pipeline
-    (metrics + trace, no file exports), the way ``--telemetry``
-    instruments a real experiment run.
-    """
-    import repro.telemetry as telemetry_mod
-
-    best = float("inf")
-    for _ in range(3):
-        if enabled:
-            telemetry_mod.enable()
-        try:
-            best = min(best, bench_figure2_wallclock())
-        finally:
-            telemetry_mod.disable()
-    return best
-
-
-def _figure2_live_once(streaming: bool) -> float:
-    """One telemetry-enabled figure-2 run, optionally live-streamed.
-
-    The streaming side reproduces what ``--live-port`` arms: a
-    :class:`~repro.telemetry.live.TelemetryBus` installed via the
-    module hook (so the run wires a snapshot sampler) plus a consumer
-    thread draining its subscription, the way the HTTP service pumps
-    a connected dashboard.
-    """
-    import threading
-
-    import repro.telemetry as telemetry_mod
-    from repro.telemetry import live as live_mod
-    from repro.telemetry.live import TelemetryBus
-
-    drainer = None
-    stop = threading.Event()
-    if streaming:
-        bus = TelemetryBus()
-        live_mod.install(bus)
-        sub = bus.subscribe()
-
-        def drain():
-            while not stop.is_set():
-                if sub.get(timeout=0.05) is None and sub.closed:
-                    return
-
-        drainer = threading.Thread(target=drain, daemon=True)
-        drainer.start()
-    telemetry_mod.enable()
+def git_commit() -> Optional[str]:
+    """``git describe --always --dirty`` of the repository, if any."""
     try:
-        return bench_figure2_wallclock()
-    finally:
-        telemetry_mod.disable()
-        if streaming:
-            live_mod.uninstall()
-            stop.set()
-            bus.close()
-            drainer.join(timeout=2.0)
-
-
-def bench_figure2_live(repeats: int):
-    """Interleaved best-of pair: (plain telemetry, live-streamed).
-
-    Alternating the two sides within each repeat keeps slow drifts
-    (thermal, cache, scheduler) from landing on one side only — the
-    run is short enough that sequential best-of-3 swings ±5 %, far
-    more than the effect being measured.
-    """
-    base = streamed = float("inf")
-    for _ in range(max(repeats, 3)):
-        base = min(base, _figure2_live_once(False))
-        streamed = min(streamed, _figure2_live_once(True))
-    return base, streamed
-
-
-def build_live_report(repeats: int) -> dict:
-    """Live-streaming overhead: bus + subscriber vs. plain telemetry.
-
-    Both sides run the same telemetry-enabled short figure-2 run
-    interleaved in the same process, so the ratio isolates exactly
-    what live streaming adds: the trace listener, periodic metric
-    snapshots, and the bounded-queue hand-off to a draining
-    subscriber thread.  The headline is ``overhead_fraction`` against
-    the ≤ 2 % target.
-    """
-    base, streamed = bench_figure2_live(repeats)
-    overhead = streamed / base - 1.0
-    benchmarks = {
-        "figure2_live_baseline": {
-            "seconds": round(base, 6),
-        },
-        "figure2_live_streaming": {
-            "seconds": round(streamed, 6),
-            "overhead_fraction": round(overhead, 4),
-            "target_fraction": LIVE_STREAM_TARGET,
-            "within_target": overhead <= LIVE_STREAM_TARGET,
-        },
-    }
-    return {
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "repeats": repeats,
-        "benchmarks": benchmarks,
-    }
-
-
-def build_telemetry_report(repeats: int) -> dict:
-    """Telemetry overhead: off must be free, on must stay cheap.
-
-    Off and on are measured interleaved in the same process so machine
-    noise hits both sides equally; the headline numbers are the ratios,
-    not the absolute seconds.  Three levels:
-
-    - ``event_throughput``: the kernel control.  Telemetry has no
-      event-loop hooks, so disabled *and* enabled must both match the
-      substrate baseline.
-    - ``page_access_*``: the worst-case microcost — a hit-dominated
-      access path doing almost no other work, so the per-access
-      counter + histogram sample shows at full relative size.
-    - ``figure2_short_*``: the end-to-end cost of a fully enabled
-      pipeline on a real controller run, the number ``--telemetry``
-      users actually pay.
-    """
-    import repro.telemetry as telemetry_mod
-
-    events_off = bench_event_throughput(repeats)
-    telemetry_mod.enable()
-    try:
-        events_on = bench_event_throughput(repeats)
-    finally:
-        telemetry_mod.disable()
-    off = bench_page_access_telemetry(False, repeats)
-    on = bench_page_access_telemetry(True, repeats)
-    fig_off = bench_figure2_telemetry(False)
-    fig_on = bench_figure2_telemetry(True)
-    event_baseline = BASELINE_SECONDS["event_throughput"]
-    benchmarks = {
-        "event_throughput_disabled": {
-            "seconds": round(events_off, 6),
-            "ops_per_s": round(EVENT_COUNT / events_off),
-            "baseline_seconds": event_baseline,
-            "vs_baseline": round(events_off / event_baseline, 3),
-        },
-        "event_throughput_enabled": {
-            "seconds": round(events_on, 6),
-            "ops_per_s": round(EVENT_COUNT / events_on),
-            "baseline_seconds": event_baseline,
-            "vs_baseline": round(events_on / event_baseline, 3),
-            "vs_disabled": round(events_on / events_off, 3),
-        },
-        "page_access_telemetry_off": {
-            "seconds": round(off, 6),
-            "us_per_access": round(off / ACCESS_COUNT * 1e6, 2),
-        },
-        "page_access_telemetry_on": {
-            "seconds": round(on, 6),
-            "us_per_access": round(on / ACCESS_COUNT * 1e6, 2),
-            "overhead_fraction": round(on / off - 1.0, 3),
-        },
-        "figure2_short_off": {"seconds": round(fig_off, 6)},
-        "figure2_short_on": {
-            "seconds": round(fig_on, 6),
-            "overhead_fraction": round(fig_on / fig_off - 1.0, 3),
-        },
-    }
-    return {
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "repeats": repeats,
-        "benchmarks": benchmarks,
-    }
-
-
-def bench_control_loop(idle_faults: bool, intervals: int = 12) -> float:
-    """Best-of-3 wall clock of a short feedback-loop run.
-
-    With ``idle_faults`` an injector with an *empty* schedule is
-    attached, so the controller polls the control-plane fault state
-    every interval (always-zero fields, no RNG) and every hot path
-    pays its fault-layer attribute check — the full idle cost of the
-    control-plane fault domain, end to end.
-    """
-    from repro.experiments.resilience import quick_config
-    from repro.experiments.runner import Simulation, default_workload
-    from repro.faults import FaultSchedule
-
-    best = float("inf")
-    for _ in range(3):
-        config = quick_config()
-        sim = Simulation(
-            config=config,
-            workload=default_workload(config, goal_ms=6.0),
-            seed=0,
-            warmup_ms=4000.0,
-            faults=FaultSchedule([]) if idle_faults else None,
-        )
-        start = time.perf_counter()
-        sim.run(intervals=intervals)
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def build_faults_report(repeats: int) -> dict:
-    """Idle fault-domain overhead: attached but quiet must be ~free.
-
-    The control-plane fault domain promises that merely *having* a
-    fault layer (empty schedule, no control fault ever fires) costs
-    nothing measurable: hot paths pay one attribute check, the
-    controller reads two always-zero fields per interval, and no
-    randomness is drawn.  Both sides of each pair are measured in the
-    same process run so machine noise hits them equally; the headline
-    is ``overhead_fraction`` against the ≤ 2 % target.
-    """
-    access_off = bench_page_access_path(repeats)
-    access_idle = bench_page_access_path_faults_idle(repeats)
-    loop_off = bench_control_loop(False)
-    loop_idle = bench_control_loop(True)
-    access_overhead = access_idle / access_off - 1.0
-    loop_overhead = loop_idle / loop_off - 1.0
-    benchmarks = {
-        "page_access_no_faults": {
-            "seconds": round(access_off, 6),
-            "us_per_access": round(access_off / ACCESS_COUNT * 1e6, 2),
-        },
-        "page_access_faults_idle": {
-            "seconds": round(access_idle, 6),
-            "us_per_access": round(access_idle / ACCESS_COUNT * 1e6, 2),
-            "overhead_fraction": round(access_overhead, 4),
-            "target_fraction": FAULTS_IDLE_TARGET,
-            "within_target": access_overhead <= FAULTS_IDLE_TARGET,
-        },
-        "control_loop_no_faults": {
-            "seconds": round(loop_off, 6),
-        },
-        "control_loop_faults_idle": {
-            "seconds": round(loop_idle, 6),
-            "overhead_fraction": round(loop_overhead, 4),
-            "target_fraction": FAULTS_IDLE_TARGET,
-            "within_target": loop_overhead <= FAULTS_IDLE_TARGET,
-        },
-    }
-    return {
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "repeats": repeats,
-        "benchmarks": benchmarks,
-    }
-
-
-def build_report(repeats: int) -> dict:
-    benchmarks = {}
-
-    def record(name, seconds, ops=None):
-        entry = {"seconds": round(seconds, 6)}
-        if ops is not None:
-            entry["ops_per_s"] = round(ops / seconds)
-        baseline = BASELINE_SECONDS.get(name)
-        if baseline is not None:
-            entry["baseline_seconds"] = baseline
-            entry["speedup"] = round(baseline / seconds, 2)
-        benchmarks[name] = entry
-
-    record(
-        "event_throughput", bench_event_throughput(repeats), EVENT_COUNT
-    )
-    record("resource_throughput", bench_resource_throughput(repeats))
-    record(
-        "page_access_path", bench_page_access_path(repeats), ACCESS_COUNT
-    )
-    record(
-        "page_access_path_faults_idle",
-        bench_page_access_path_faults_idle(repeats),
-        ACCESS_COUNT,
-    )
-    record("figure2_short_run", bench_figure2_wallclock())
-
-    return {
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "repeats": repeats,
-        "benchmarks": benchmarks,
-    }
+        return subprocess.run(
+            ["git", "describe", "--always", "--dirty"], cwd=ROOT,
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return None
 
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--repeats", type=int, default=20,
-        help="best-of repeats per microbenchmark (default 20; "
-             "the scaling report defaults to 6)",
+        "--family", choices=FAMILIES + ("all",), default="substrate",
+        help="bench family to measure (default substrate)",
     )
     parser.add_argument(
-        "--scaling", action="store_true",
-        help="run the cluster-scaling bench instead of the substrate "
-             f"microbenchmarks (writes {SCALING_REPORT_PATH.name})",
-    )
-    parser.add_argument(
-        "--sweep", action="store_true",
-        help="run the warm-state fork-server sweep bench instead "
-             f"(cold vs. forked goal sweeps; writes "
-             f"{SWEEP_REPORT_PATH.name})",
+        "--repeats", type=int, default=None,
+        help="samples (or pairs) per case (default per family: "
+             + ", ".join(f"{f} {n}" for f, n in DEFAULT_REPEATS.items())
+             + ")",
     )
     parser.add_argument(
         "--quick", action="store_true",
-        help="with --scaling: run the CI subset (one small and one "
-             "large point per row family) instead of the full sweep",
+        help="scaling: one small and one large point per row kind "
+             "(the CI subset)",
     )
     parser.add_argument(
         "--check-regression", action="store_true",
-        help="with --scaling: after measuring, compare us_per_access "
-             "against the committed BENCH_scaling.json and exit "
-             f"non-zero if any row regressed more than "
-             f"{REGRESSION_TOLERANCE:.0%} (the CI scaling gate)",
+        help="scaling: compare each row's min us/access with the "
+             f"committed {REPORT_PATH.name} and exit non-zero if any "
+             f"regressed more than {REGRESSION_TOLERANCE:.0%}% "
+             "(the CI scaling gate)",
     )
     parser.add_argument(
-        "--telemetry-overhead", action="store_true",
-        help="measure the telemetry layer's cost, off vs. attached "
-             f"(writes {TELEMETRY_REPORT_PATH.name})",
-    )
-    parser.add_argument(
-        "--live-overhead", action="store_true",
-        help="measure live-streaming cost (installed bus + draining "
-             "subscriber vs. plain telemetry-enabled run); merges its "
-             f"rows into {TELEMETRY_REPORT_PATH.name}",
-    )
-    parser.add_argument(
-        "--faults", action="store_true",
-        help="measure the idle fault-domain overhead (layer attached, "
-             f"empty schedule, vs. none; writes {FAULTS_REPORT_PATH.name})",
-    )
-    parser.add_argument(
-        "--analytic", action="store_true",
-        help="measure the analytic fast path (ms per MVA grid point, "
-             "frontier size, prescreened vs. brute sweep wall clock; "
-             f"writes {ANALYTIC_REPORT_PATH.name})",
-    )
-    parser.add_argument(
-        "--out", type=Path, default=None,
-        help=f"output path (default {REPORT_PATH.name}, or "
-             f"{SCALING_REPORT_PATH.name} with --scaling, or "
-             f"{SWEEP_REPORT_PATH.name} with --sweep, or "
-             f"{TELEMETRY_REPORT_PATH.name} with --telemetry-overhead, "
-             f"{FAULTS_REPORT_PATH.name} with --faults, or "
-             f"{ANALYTIC_REPORT_PATH.name} with --analytic)",
+        "--out", type=Path, default=REPORT_PATH,
+        help=f"report to merge the rows into (default {REPORT_PATH.name})",
     )
     args = parser.parse_args(argv)
-    committed = None
-    if args.analytic:
-        report = build_analytic_report()
-        out = args.out if args.out is not None else ANALYTIC_REPORT_PATH
-    elif args.faults:
-        report = build_faults_report(args.repeats)
-        out = args.out if args.out is not None else FAULTS_REPORT_PATH
-    elif args.live_overhead:
-        report = build_live_report(args.repeats)
-        out = (
-            args.out if args.out is not None else TELEMETRY_REPORT_PATH
-        )
-        # The live rows ride in the telemetry report, so fold them
-        # into whatever the --telemetry-overhead pass already wrote.
-        if out.exists():
-            prior = json.loads(out.read_text())
-            merged = dict(prior.get("benchmarks", {}))
-            merged.update(report["benchmarks"])
-            report["benchmarks"] = merged
-    elif args.telemetry_overhead:
-        report = build_telemetry_report(args.repeats)
-        out = (
-            args.out if args.out is not None else TELEMETRY_REPORT_PATH
-        )
-    elif args.sweep:
-        report = build_sweep_report()
-        out = args.out if args.out is not None else SWEEP_REPORT_PATH
-    elif args.scaling:
-        repeats = args.repeats if args.repeats != 20 else 6
-        # Read the committed reference before measuring: the default
-        # --out overwrites the very file the gate compares against.
-        committed = (
-            json.loads(SCALING_REPORT_PATH.read_text())
-            if args.check_regression else None
-        )
-        report = build_scaling_report(repeats, quick=args.quick)
-        out = args.out if args.out is not None else SCALING_REPORT_PATH
-    else:
-        report = build_report(args.repeats)
-        out = args.out if args.out is not None else REPORT_PATH
-    out.write_text(json.dumps(report, indent=2) + "\n")
-    emit(json.dumps(report, indent=2))
-    emit(f"\nreport written to {out}")
-    if args.scaling and committed is not None:
-        failures = check_scaling_regression(report, committed)
+    families = FAMILIES if args.family == "all" else (args.family,)
+    if args.check_regression and "scaling" not in families:
+        parser.error("--check-regression needs --family scaling or all")
+    if args.repeats is not None and args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+    # Read the committed reference before measuring: the default --out
+    # overwrites the very file the gate compares against.
+    committed = (json.loads(REPORT_PATH.read_text())
+                 if args.check_regression else None)
+
+    rows = measure(bench_table(args.quick), families, args.repeats)
+    prior = (json.loads(args.out.read_text())["rows"]
+             if args.out.exists() else [])
+    report = {
+        "commit": git_commit(),
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "rows": merged(prior, rows),
+    }
+    args.out.write_text(json.dumps(report, indent=2) + "\n")
+    columns = ("name", "unit", "median", "q1", "q3", "min", "repeats")
+    emit(format_table(columns, [[r[k] for k in columns] for r in rows]))
+    for row in rows:
+        if row["target"] is not None:
+            met = row["q3"] <= 1.0 + row["target"]
+            emit(f"{row['name']}: q3 {row['q3']:.4f} vs bound "
+                 f"{1.0 + row['target']:.2f}: "
+                 f"{'met' if met else 'NOT met'}")
+    emit(f"\n{len(rows)} rows merged into {args.out}")
+    if committed is not None:
+        failures = check_scaling_regression({"rows": rows}, committed)
         if failures:
             emit("\nscaling regression gate FAILED "
                  f"(tolerance {REGRESSION_TOLERANCE:.0%}):")

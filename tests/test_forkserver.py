@@ -127,7 +127,7 @@ def test_apply_delta_sets_goals_without_perturbing_warm_state(
     assert warm_fingerprint(sim) == before
 
 
-def test_runtime_guard_catches_rng_drawing_configure(
+def test_runtime_guard_catches_rng_drawing_delta(
     fast_config, monkeypatch
 ):
     # A goal delta whose set_goal draws randomness must be caught by

@@ -24,7 +24,7 @@ from repro.workload.blockgen import (
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.spec import ClassSpec, WorkloadSpec
 from repro.workload.trace import TraceRecorder
-from repro.workload.zipf import ZipfPagePicker, ZipfSampler
+from repro.workload.zipf import ZipfSampler
 
 
 # -- column-level equivalence (Hypothesis) --------------------------
